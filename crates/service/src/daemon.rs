@@ -1,34 +1,16 @@
 //! The persistent routing daemon: a long-lived TCP server speaking the
 //! JSONL job wire format, one request line in → one outcome line out.
 //!
-//! Architecture, per connection:
-//!
-//! ```text
-//!  reader thread (one per connection)
-//!    read line → admission check → parse/resolve → plan (canonicalize)
-//!      → per-shard-locked shared cache get_or_insert → dispatch miss
-//!      → enqueue wait-ticket on the connection's ordered channel ──┐
-//!  worker pool (shared, routes canonical instances)                │
-//!  writer thread (one per connection)                              │
-//!    pop ticket → wait on its slot → write outcome line  ◄─────────┘
-//! ```
-//!
-//! **Concurrency without losing determinism.** Unlike the in-process
-//! [`Engine`](crate::Engine), nothing serializes on a global submit
-//! thread: every connection plans (resolves, canonicalizes) and looks up
-//! the **shared** cache on its own reader thread, synchronized only by
-//! the cache's per-shard mutexes
-//! ([`ShardedLru::get_or_insert_with`]). The determinism guarantee is
-//! scoped *per connection*: outcome order matches that connection's
-//! submit order, and the hit/miss status on each outcome comes from a
-//! private per-connection *mirror* cache (same capacity and sharding,
-//! tracking keys only) that replays the connection's stream exactly the
-//! way a single-threaded `repro batch` would — so a connection's outcome
-//! bytes are identical to batch output for the same job list, no matter
-//! how many other clients are connected. The shared cache still dedups
-//! *computation* across connections (a mirror-miss may be served from
-//! another connection's routed slot; routers are deterministic, so
-//! depth/size are identical either way).
+//! Each connection is one ordered session over the daemon's shared core
+//! (cache and worker pool; the `session` module holds the job path it
+//! shares with the in-process engine): a reader thread admits lines in
+//! order, and a writer thread finishes them in the same order and
+//! writes the outcome lines. Connections plan and consult the shared
+//! cache on their own reader threads, synchronized only by its
+//! per-shard mutexes, so nothing serializes on a global submit thread.
+//! The determinism guarantee is scoped *per connection*: a connection's
+//! outcome bytes are identical to an untimed `repro batch` of the same
+//! job list, no matter how many other clients are connected.
 //!
 //! **Admission control.** Each connection may have at most
 //! `client_queue_depth` jobs in flight (submitted, outcome not yet
@@ -51,21 +33,18 @@
 //! requests consume no job id.
 //!
 //! **Deadlines.** A job line may carry `"deadline_ms"`; jobs without one
-//! inherit the daemon's `default_deadline_ms` (when set). The deadline
-//! is measured from admission: if it passes before the route finishes,
-//! the job gets a `timeout` error outcome, the compute is cooperatively
-//! cancelled at its next routing-round checkpoint, and the key is
-//! evicted so a later duplicate recomputes. Later jobs on the same
-//! connection are unaffected.
+//! inherit the daemon's `default_deadline_ms` (when set). The clock
+//! starts when the line is read, before admission control; a job whose
+//! deadline passes gets a `timeout` error outcome (see the session
+//! docs). Later jobs on the same connection are unaffected.
 //!
 //! The daemon always runs with timing capture off (`time_ms` is `null`),
 //! keeping outcome bytes deterministic and batch-identical.
 
-use crate::cache::ShardedLru;
-use crate::engine::{plan_route, EngineConfig, RouteSlot, WorkItem, WorkerPool};
+use crate::engine::EngineConfig;
 use crate::errors::ServiceError;
-use crate::job::{CacheStatus, RouteJob, RouteOutcome};
-use qroute_core::budget::RouteBudget;
+use crate::job::RouteJob;
+use crate::session::{Core, Pending, Session};
 use qroute_obs::{Counter, Gauge, Log2Histogram, Registry};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -75,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Jobs routed per router kind, one row of [`StatsSnapshot::routers`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -232,9 +211,7 @@ impl DaemonStats {
 /// State shared by the accept loop, every connection thread, and the
 /// [`Daemon`] handle.
 struct DaemonShared {
-    config: EngineConfig,
-    cache: Arc<ShardedLru<Arc<RouteSlot>>>,
-    pool: WorkerPool,
+    core: Arc<Core>,
     stats: DaemonStats,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -266,7 +243,7 @@ impl DaemonShared {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let cache = self.cache.stats();
+        let cache = self.core.cache.stats();
         StatsSnapshot {
             jobs_routed: self.stats.jobs_routed.get(),
             jobs_errored: self.stats.jobs_errored.get(),
@@ -289,7 +266,7 @@ impl DaemonShared {
             latency_p50_ms: self.stats.latency_quantile_ms(0.50),
             latency_p99_ms: self.stats.latency_quantile_ms(0.99),
             timeouts: self.stats.timeouts.get(),
-            worker_restarts: self.pool.restarts(),
+            worker_restarts: self.core.pool.restarts(),
             retries_observed: self.stats.retries.get(),
         }
     }
@@ -298,43 +275,24 @@ impl DaemonShared {
     /// owned outside [`DaemonStats`] (shared cache, pool supervisor)
     /// mirrored in first. Served by `{"req": "metrics"}`.
     fn prometheus(&self) -> String {
-        let cache = self.cache.stats();
+        let cache = self.core.cache.stats();
         self.stats.cache_hits.set(cache.hits);
         self.stats.cache_misses.set(cache.misses);
         self.stats.cache_evictions.set(cache.evictions);
-        self.stats.worker_restarts.set(self.pool.restarts());
+        self.stats.worker_restarts.set(self.core.pool.restarts());
         self.stats.registry.to_prometheus()
     }
 }
 
 /// One entry of a connection's ordered reader → writer channel.
 enum ConnItem {
-    /// An already-final outcome (errors, rejections). `counted` marks
-    /// whether it holds an admission slot (backpressure rejections do
-    /// not).
-    Ready {
-        outcome: RouteOutcome,
+    /// A job to finish. `counted` marks whether it holds an admission
+    /// slot (backpressure rejections do not); `start` is when its line
+    /// was read.
+    Job {
+        pending: Pending,
         counted: bool,
         start: Instant,
-    },
-    /// A routed job waiting on its (possibly shared) slot.
-    Wait {
-        id: u64,
-        side: usize,
-        v: Option<u64>,
-        router: &'static str,
-        cache: CacheStatus,
-        lower_bound: usize,
-        slot: Arc<RouteSlot>,
-        start: Instant,
-        /// When to stop waiting (the job's `deadline_ms`, or the
-        /// daemon-wide default, measured from admission).
-        deadline: Option<Instant>,
-        /// The same deadline in milliseconds, for the error payload.
-        deadline_ms: Option<u64>,
-        /// Whether *this connection* dispatched the slot's compute (a
-        /// wait-side timeout may only cancel a compute it owns).
-        dispatched: bool,
     },
     /// A control response line, written verbatim.
     Control(String),
@@ -359,11 +317,8 @@ impl Daemon {
         let addr = listener
             .local_addr()
             .map_err(|e| ServiceError::Io(e.to_string()))?;
-        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
         let shared = Arc::new(DaemonShared {
-            pool: WorkerPool::spawn(&config, Arc::clone(&cache)),
-            cache,
-            config,
+            core: Arc::new(Core::new(config)),
             stats: DaemonStats::new(),
             shutdown: AtomicBool::new(false),
             addr,
@@ -448,7 +403,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
     // ×2: admitted jobs can occupy at most `client_queue_depth` entries,
     // and rejections/control responses need room to flow out without
     // stalling the reader ahead of the admission check.
-    let (sender, receiver) = sync_channel::<ConnItem>(shared.config.client_queue_depth.max(1) * 2);
+    let limit = shared.core.config.client_queue_depth;
+    let (sender, receiver) = sync_channel::<ConnItem>(limit.max(1) * 2);
     // The per-connection admission gauge: reader increments on admit,
     // writer decrements as outcomes leave.
     let in_flight = Arc::new(AtomicUsize::new(0));
@@ -458,12 +414,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         std::thread::spawn(move || write_outcomes(write_half, receiver, in_flight, shared))
     };
 
-    // The mirror cache that makes this connection's hit/miss statuses —
-    // and therefore its outcome bytes — identical to a single-threaded
-    // batch run of the same stream.
-    let mirror: ShardedLru<()> =
-        ShardedLru::new(shared.config.cache_capacity, shared.config.cache_shards);
-    let mut next_id: u64 = 0;
+    let mut session = Session::new(Arc::clone(&shared.core));
 
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -495,97 +446,30 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         }
 
         let start = Instant::now();
-        let id = next_id;
-        next_id += 1;
         // Admission control *before* parsing: a flooding client is
         // rejected at O(1) cost, in order, never hung.
-        let limit = shared.config.client_queue_depth;
-        if in_flight.load(Ordering::SeqCst) >= limit {
-            let outcome =
-                RouteOutcome::from_error(id, None, None, &ServiceError::Backpressure { limit });
-            shared.stats.jobs_errored.inc();
-            if sender
-                .send(ConnItem::Ready { outcome, counted: false, start })
-                .is_err()
-            {
-                break;
+        let counted = in_flight.load(Ordering::SeqCst) < limit;
+        let pending = if counted {
+            match RouteJob::from_json_line(trimmed) {
+                Err(e) => session.reject(e),
+                Ok(job) => session.admit(&job, start),
             }
-            continue;
-        }
-
-        let item = match RouteJob::from_json_line(trimmed) {
-            Err(e) => {
-                shared.stats.jobs_errored.inc();
-                ConnItem::Ready {
-                    outcome: RouteOutcome::from_error(id, None, None, &e),
-                    counted: true,
-                    start,
-                }
-            }
-            Ok(job) => match plan_route(&job, &shared.config.default_router) {
-                Err(e) => {
-                    shared.stats.jobs_errored.inc();
-                    ConnItem::Ready {
-                        outcome: RouteOutcome::from_error(id, Some(job.side), job.v, &e),
-                        counted: true,
-                        start,
-                    }
-                }
-                Ok(plan) => {
-                    shared.stats.dispatch_counter(plan.router.label()).inc();
-                    let deadline_ms = job.deadline_ms.or(shared.config.default_deadline_ms);
-                    let deadline = deadline_ms.map(|ms| start + Duration::from_millis(ms));
-                    // Mirror first (connection-deterministic status),
-                    // then the shared cache (cross-connection compute
-                    // dedup).
-                    let (_, mirror_inserted) = mirror.get_or_insert_with(plan.key.clone(), || ());
-                    let cache = if mirror_inserted {
-                        CacheStatus::Miss
-                    } else {
-                        CacheStatus::Hit
-                    };
-                    let (slot, inserted) = shared
-                        .cache
-                        .get_or_insert_with(plan.key.clone(), || Arc::new(RouteSlot::default()));
-                    if inserted {
-                        let budget = match deadline {
-                            None => RouteBudget::unlimited(),
-                            Some(at) => RouteBudget::unlimited()
-                                .deadline(at)
-                                .cancel_token(slot.cancel_token()),
-                        };
-                        shared.pool.dispatch(WorkItem {
-                            topology: plan.canonical.topology.clone(),
-                            pi: plan.canonical.pi.clone(),
-                            router: plan.router.clone(),
-                            slot: Arc::clone(&slot),
-                            timing: false,
-                            key: plan.key,
-                            budget,
-                            deadline_ms,
-                        });
-                    }
-                    ConnItem::Wait {
-                        id,
-                        side: job.side,
-                        v: job.v,
-                        router: plan.router.label(),
-                        cache,
-                        lower_bound: plan.lower_bound,
-                        slot,
-                        start,
-                        deadline,
-                        deadline_ms,
-                        dispatched: inserted,
-                    }
-                }
-            },
+        } else {
+            session.reject(ServiceError::Backpressure { limit })
         };
-        // Increment *before* the send so the writer's decrement can
-        // never race the gauge below zero.
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        shared.stats.in_flight.inc();
-        if sender.send(item).is_err() {
+        if let Some(router) = pending.router() {
+            shared.stats.dispatch_counter(router).inc();
+        }
+        if counted {
+            // Increment *before* the send so the writer's decrement can
+            // never race the gauge below zero.
+            in_flight.fetch_add(1, Ordering::SeqCst);
+            shared.stats.in_flight.inc();
+        }
+        if sender
+            .send(ConnItem::Job { pending, counted, start })
+            .is_err()
+        {
             break;
         }
     }
@@ -694,81 +578,32 @@ fn write_outcomes(
         out: std::io::BufWriter::new(stream),
         broken: false,
         written: 0,
-        drop_plan: shared.pool.chaos().take_connection_drop(),
+        drop_plan: shared.core.pool.chaos().take_connection_drop(),
     };
     for item in receiver.iter() {
-        match item {
-            ConnItem::Control(line) => writer.emit(line),
-            ConnItem::Ready { outcome, counted, start } => {
-                writer.emit(outcome.to_json_line());
-                if counted {
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.stats.in_flight.dec();
-                }
-                shared.stats.record_latency(start);
+        let (pending, counted, start) = match item {
+            ConnItem::Control(line) => {
+                writer.emit(line);
+                continue;
             }
-            ConnItem::Wait {
-                id,
-                side,
-                v,
-                router,
-                cache,
-                lower_bound,
-                slot,
-                start,
-                deadline,
-                deadline_ms,
-                dispatched,
-            } => {
-                let waited = match deadline {
-                    None => slot.wait(),
-                    Some(at) => match slot.wait_until(at) {
-                        Some(result) => result,
-                        None => {
-                            // The deadline passed mid-compute. Cancel the
-                            // compute only if this connection dispatched
-                            // it: another connection's hit must not poison
-                            // a compute it merely shares.
-                            if dispatched {
-                                slot.cancel();
-                            }
-                            Err(ServiceError::Timeout { deadline_ms: deadline_ms.unwrap_or(0) })
-                        }
-                    },
-                };
-                let outcome = match waited {
-                    Err(e) => {
-                        if matches!(e, ServiceError::Timeout { .. }) {
-                            shared.stats.timeouts.inc();
-                        }
-                        shared.stats.jobs_errored.inc();
-                        RouteOutcome::from_error(id, Some(side), v, &e)
-                    }
-                    Ok(entry) => {
-                        shared.stats.jobs_routed.inc();
-                        RouteOutcome {
-                            v,
-                            id,
-                            side: Some(side),
-                            router: Some(router.to_string()),
-                            cache: Some(cache.as_str().to_string()),
-                            // Depth and size are replay-invariant, so the
-                            // canonical schedule answers without replaying.
-                            depth: Some(entry.schedule.depth()),
-                            size: Some(entry.schedule.size()),
-                            lower_bound: Some(lower_bound),
-                            time_ms: None,
-                            code: None,
-                            error: None,
-                        }
-                    }
-                };
-                writer.emit(outcome.to_json_line());
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                shared.stats.in_flight.dec();
-                shared.stats.record_latency(start);
+            ConnItem::Job { pending, counted, start } => (pending, counted, start),
+        };
+        let (outcome, _) = pending.finish();
+        match outcome.code {
+            None => shared.stats.jobs_routed.inc(),
+            Some(code) => {
+                if code == "timeout" {
+                    shared.stats.timeouts.inc();
+                }
+                shared.stats.jobs_errored.inc();
             }
         }
+        writer.emit(outcome.to_json_line());
+        if counted {
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            shared.stats.in_flight.dec();
+        }
+        shared.stats.record_latency(start);
     }
 }
 

@@ -1,42 +1,27 @@
-//! The batched multi-worker routing engine.
+//! The in-process routing engine, its configuration, and the worker
+//! pool every engine and daemon routes on.
 //!
-//! Architecture, in job order on the *submit* side and job-id order on
-//! the *collect* side:
+//! An [`Engine`] is one ordered session over a core it owns (the
+//! `session` module holds the job path it shares with the daemon):
+//! `submit` admits jobs in input order, `collect_next` finishes them in
+//! job-id order and replays each canonical schedule into the job's own
+//! frame. Every cache decision happens on the submitting thread, in
+//! input order, so `--workers 1` and `--workers 8` produce identical
+//! output bytes (proved by `tests/engine_stress.rs`); workers only ever
+//! compute.
 //!
-//! ```text
-//!  submit (caller thread, strictly in input order)
-//!    parse/resolve → auto-dispatch → canonicalize → cache decision
-//!        ├─ hit:  attach the cached slot (maybe still in flight)
-//!        └─ miss: insert a fresh slot, push the canonical instance
-//!                 onto the bounded work queue  ── backpressure ──┐
-//!  workers (std threads)                                         │
-//!    pop canonical instance → route → fill its slot  ◄───────────┘
-//!  collect (caller thread, strictly in job-id order)
-//!    wait on each job's slot → replay through the inverse symmetry
-//!    → emit RouteOutcome
-//! ```
-//!
-//! **Every cache decision happens on the submit thread, in input
-//! order.** That single invariant is what makes the engine
-//! byte-deterministic: hit/miss statuses, LRU evictions, and `auto`
-//! router resolution depend only on the job sequence, never on worker
-//! scheduling — so `--workers 1` and `--workers 8` produce identical
-//! output bytes (proved by `tests/engine_stress.rs`). Workers only ever
-//! compute; hits share the *slot* (not the cache entry), so an eviction
-//! between insert and use can never strand a job.
-//!
-//! Shutdown: dropping the engine closes the queue and sets a shutdown
-//! flag; workers drain remaining items without routing them and exit, so
-//! dropping mid-queue cannot deadlock.
+//! Shutdown: dropping the engine drops its pool, which closes the queue
+//! and sets a shutdown flag; workers drain remaining items without
+//! routing them and exit, so dropping mid-queue cannot deadlock.
 
-use crate::cache::{canonicalize_topology, CacheStats, CanonicalForm, CanonicalKey, ShardedLru};
+use crate::cache::{CacheStats, CanonicalKey, ShardedLru};
 use crate::chaos::{self, ChaosConfig, ChaosState, ComputeFault};
-use crate::dispatch::select_router_on;
 use crate::errors::ServiceError;
-use crate::job::{CacheStatus, RouteJob, RouteOutcome, RouterSpec};
+use crate::job::{RouteJob, RouteOutcome, RouterSpec};
+use crate::session::{Core, Pending, Session};
 use qroute_core::budget::{self, BudgetExceeded, CancelToken, QuietUnwind, RouteBudget};
-use qroute_core::{GridRouter, RouterKind, RoutingSchedule, UnsupportedTopology};
-use qroute_perm::{metrics, Permutation};
+use qroute_core::{GridRouter, RouterKind, RoutingSchedule};
+use qroute_perm::Permutation;
 use qroute_topology::Topology;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -220,7 +205,8 @@ impl EngineConfigBuilder {
 #[derive(Debug, Clone)]
 pub(crate) struct RoutedEntry {
     pub(crate) schedule: Arc<RoutingSchedule>,
-    pub(crate) route_ms: f64,
+    /// Wall-clock routing time, when [`EngineConfig::timing`] is on.
+    pub(crate) route_ms: Option<f64>,
 }
 
 /// A write-once slot a worker fills and any number of jobs wait on.
@@ -250,35 +236,32 @@ impl RouteSlot {
         self.cancel.cancel();
     }
 
-    pub(crate) fn wait(&self) -> Result<RoutedEntry, ServiceError> {
-        let mut slot = self.filled.lock().expect("slot poisoned");
-        while slot.is_none() {
-            slot = self.ready.wait(slot).expect("slot poisoned");
-        }
-        slot.as_ref().expect("checked above").clone()
-    }
-
-    /// [`RouteSlot::wait`] with a deadline. `None` means the deadline
-    /// passed with the slot still empty; the slot itself stays valid —
-    /// its compute may still fill it for later waiters.
-    pub(crate) fn wait_until(
+    /// Wait until the slot is filled, or until `deadline` if one is
+    /// given. `None` means the deadline passed with the slot still empty;
+    /// the slot itself stays valid — its compute may still fill it for
+    /// later waiters.
+    pub(crate) fn wait(
         &self,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Option<Result<RoutedEntry, ServiceError>> {
         let mut slot = self.filled.lock().expect("slot poisoned");
         loop {
             if let Some(value) = slot.as_ref() {
                 return Some(value.clone());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .expect("slot poisoned");
-            slot = guard;
+            slot = match deadline {
+                None => self.ready.wait(slot).expect("slot poisoned"),
+                Some(at) => {
+                    let now = Instant::now();
+                    if now >= at {
+                        return None;
+                    }
+                    self.ready
+                        .wait_timeout(slot, at - now)
+                        .expect("slot poisoned")
+                        .0
+                }
+            };
         }
     }
 }
@@ -289,7 +272,6 @@ pub(crate) struct WorkItem {
     pub(crate) pi: Permutation,
     pub(crate) router: RouterKind,
     pub(crate) slot: Arc<RouteSlot>,
-    pub(crate) timing: bool,
     /// The slot's cache key, so fault paths can evict the error-bound
     /// entry (a later duplicate then recomputes instead of replaying the
     /// fault).
@@ -348,6 +330,8 @@ struct WorkerContext {
     cache: Arc<ShardedLru<Arc<RouteSlot>>>,
     chaos: Arc<ChaosState>,
     deaths: mpsc::Sender<SupervisorMsg>,
+    /// [`EngineConfig::timing`].
+    timing: bool,
 }
 
 fn spawn_worker(ctx: WorkerContext) -> JoinHandle<()> {
@@ -400,11 +384,7 @@ fn worker_main(ctx: &WorkerContext) {
                 item.router.route_on(&item.topology, &item.pi)
             })
         }));
-        let route_ms = if item.timing {
-            t0.elapsed().as_secs_f64() * 1e3
-        } else {
-            0.0
-        };
+        let route_ms = ctx.timing.then(|| t0.elapsed().as_secs_f64() * 1e3);
         match routed {
             Ok(Ok(Ok(schedule))) => {
                 item.slot
@@ -536,6 +516,7 @@ impl WorkerPool {
             cache,
             chaos: Arc::clone(&chaos),
             deaths: deaths.clone(),
+            timing: config.timing,
         };
         let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|_| spawn_worker(ctx.clone()))
@@ -599,82 +580,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Everything decided about a resolvable job *before* the cache is
-/// consulted: the resolved router, the instance, its canonical form and
-/// cache key, and the depth lower bound. Pure — safe to run on any
-/// thread (daemon connections plan on their own threads so
-/// canonicalization never serializes on a shared submit thread).
-pub(crate) struct RoutePlan {
-    pub(crate) router: RouterKind,
-    pub(crate) lower_bound: usize,
-    pub(crate) canonical: Box<CanonicalForm>,
-    pub(crate) key: CanonicalKey,
-    pub(crate) topology: Topology,
-    pub(crate) pi: Permutation,
-}
-
-/// Resolve and plan one job: materialize the instance, pick the router
-/// (job's own, else `default_router`), reject unsupported pairings
-/// before they touch any cache, bound the depth, and canonicalize.
-pub(crate) fn plan_route(
-    job: &RouteJob,
-    default_router: &RouterSpec,
-) -> Result<RoutePlan, ServiceError> {
-    let (topology, pi) = job.resolve()?;
-    let router = match job.router.as_ref().unwrap_or(default_router) {
-        RouterSpec::Auto => select_router_on(&topology, &pi),
-        RouterSpec::Fixed(kind) => kind.clone(),
-    };
-    if !router.supports(&topology) {
-        // Reject before touching the cache: an unsupported pairing must
-        // neither pollute the key space nor reach a worker.
-        return Err(ServiceError::Unsupported(UnsupportedTopology {
-            router: router.label(),
-            topology: topology.to_string(),
-        }));
-    }
-    let lower_bound = match topology.as_grid() {
-        Some(grid) => metrics::depth_lower_bound(grid, &pi),
-        None => {
-            let graph = topology.graph();
-            let oracle = topology.oracle(&graph);
-            metrics::depth_lower_bound_oracle(&oracle, &pi)
-        }
-    };
-    let canonical = canonicalize_topology(&topology, &pi);
-    // Key on the router's full Debug rendering, not its label:
-    // differently-configured routers with the same label must not share
-    // cached schedules.
-    let key = canonical.key(format!("{router:?}"));
-    Ok(RoutePlan { router, lower_bound, canonical: Box::new(canonical), key, topology, pi })
-}
-
-/// A submitted-but-not-yet-collected job.
-struct PendingJob {
-    id: u64,
-    side: Option<usize>,
-    v: Option<u64>,
-    plan: Plan,
-}
-
-enum Plan {
-    Error(ServiceError),
-    Route {
-        router: &'static str,
-        cache: CacheStatus,
-        lower_bound: usize,
-        canonical: Box<CanonicalForm>,
-        topology: Topology,
-        pi: Permutation,
-        slot: Arc<RouteSlot>,
-        /// When to stop waiting on the slot (job deadline, or the
-        /// engine-wide default), fixed at submission time.
-        deadline: Option<Instant>,
-        /// The same deadline in milliseconds, for the error payload.
-        deadline_ms: Option<u64>,
-    },
-}
-
 /// A collected result: the outcome line plus (for routed jobs) the
 /// replayed schedule in the job's original frame.
 #[derive(Debug, Clone)]
@@ -686,82 +591,27 @@ pub struct RouteResult {
     pub schedule: Option<RoutingSchedule>,
 }
 
-/// The routing engine: worker pool + canonical cache + deterministic
-/// reassembly.
+/// The routing engine: one ordered session over a core it owns, plus
+/// the jobs submitted but not yet collected.
 pub struct Engine {
-    config: EngineConfig,
-    cache: Arc<ShardedLru<Arc<RouteSlot>>>,
-    pool: WorkerPool,
-    next_id: u64,
-    pending: VecDeque<PendingJob>,
+    session: Session,
+    pending: VecDeque<Pending>,
 }
 
 impl Engine {
     /// Spawn the worker pool.
     pub fn new(config: EngineConfig) -> Engine {
-        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
-        Engine {
-            pool: WorkerPool::spawn(&config, Arc::clone(&cache)),
-            cache,
-            config,
-            next_id: 0,
-            pending: VecDeque::new(),
-        }
+        Engine { session: Session::new(Arc::new(Core::new(config))), pending: VecDeque::new() }
     }
 
     /// Submit one job; returns its id (0-based submission index). Blocks
     /// when the work queue is full (backpressure). All cache and
-    /// dispatch decisions happen here, in submission order.
+    /// dispatch decisions happen here, in submission order; the job's
+    /// deadline clock starts on entry, before planning.
     pub fn submit(&mut self, job: &RouteJob) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        let plan = match plan_route(job, &self.config.default_router) {
-            Err(e) => Plan::Error(e),
-            Ok(plan) => {
-                let deadline_ms = job.deadline_ms.or(self.config.default_deadline_ms);
-                let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let (cache, slot) = match self.cache.get(&plan.key) {
-                    Some(slot) => (CacheStatus::Hit, slot),
-                    None => {
-                        let slot = Arc::new(RouteSlot::default());
-                        self.cache.insert(plan.key.clone(), Arc::clone(&slot));
-                        // Unbounded jobs keep the zero-overhead routing
-                        // path: no deadline means nobody ever cancels, so
-                        // the budget stays unarmed.
-                        let budget = match deadline {
-                            None => RouteBudget::unlimited(),
-                            Some(at) => RouteBudget::unlimited()
-                                .deadline(at)
-                                .cancel_token(slot.cancel_token()),
-                        };
-                        self.pool.dispatch(WorkItem {
-                            topology: plan.canonical.topology.clone(),
-                            pi: plan.canonical.pi.clone(),
-                            router: plan.router.clone(),
-                            slot: Arc::clone(&slot),
-                            timing: self.config.timing,
-                            key: plan.key,
-                            budget,
-                            deadline_ms,
-                        });
-                        (CacheStatus::Miss, slot)
-                    }
-                };
-                Plan::Route {
-                    router: plan.router.label(),
-                    cache,
-                    lower_bound: plan.lower_bound,
-                    canonical: plan.canonical,
-                    topology: plan.topology,
-                    pi: plan.pi,
-                    slot,
-                    deadline,
-                    deadline_ms,
-                }
-            }
-        };
-        self.pending
-            .push_back(PendingJob { id, side: Some(job.side), v: job.v, plan });
+        let pending = self.session.admit(job, Instant::now());
+        let id = pending.id();
+        self.pending.push_back(pending);
         qroute_obs::trace::event(
             "engine.submit",
             &[
@@ -779,10 +629,9 @@ impl Engine {
     /// (e.g. an unparseable JSONL line), consuming the next id so output
     /// ids keep matching input line numbers.
     pub fn submit_error(&mut self, error: ServiceError) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending
-            .push_back(PendingJob { id, side: None, v: None, plan: Plan::Error(error) });
+        let pending = self.session.reject(error);
+        let id = pending.id();
+        self.pending.push_back(pending);
         id
     }
 
@@ -790,74 +639,8 @@ impl Engine {
     /// ready. Returns `None` when everything submitted has been
     /// collected. Results always come back in job-id order.
     pub fn collect_next(&mut self) -> Option<RouteResult> {
-        let job = self.pending.pop_front()?;
-        Some(match job.plan {
-            Plan::Error(error) => RouteResult {
-                outcome: RouteOutcome::from_error(job.id, job.side, job.v, &error),
-                schedule: None,
-            },
-            Plan::Route {
-                router,
-                cache,
-                lower_bound,
-                canonical,
-                topology,
-                pi,
-                slot,
-                deadline,
-                deadline_ms,
-            } => {
-                let waited = match deadline {
-                    None => slot.wait(),
-                    Some(at) => match slot.wait_until(at) {
-                        Some(result) => result,
-                        None => {
-                            // The deadline passed mid-compute. Cancel the
-                            // compute only if this job dispatched it: a
-                            // cache hit's waiter must not poison the
-                            // compute another job is still entitled to.
-                            if matches!(cache, CacheStatus::Miss) {
-                                slot.cancel();
-                            }
-                            Err(ServiceError::Timeout { deadline_ms: deadline_ms.unwrap_or(0) })
-                        }
-                    },
-                };
-                match waited {
-                    Err(e) => RouteResult {
-                        outcome: RouteOutcome::from_error(job.id, job.side, job.v, &e),
-                        schedule: None,
-                    },
-                    Ok(entry) => {
-                        let schedule = canonical.replay(&entry.schedule);
-                        debug_assert!(
-                            schedule.realizes(&pi),
-                            "replayed schedule must realize the job's permutation"
-                        );
-                        debug_assert!(schedule.validate_on(&topology.graph()).is_ok());
-                        RouteResult {
-                            outcome: RouteOutcome {
-                                v: job.v,
-                                id: job.id,
-                                side: job.side,
-                                router: Some(router.to_string()),
-                                cache: Some(cache.as_str().to_string()),
-                                depth: Some(entry.schedule.depth()),
-                                size: Some(entry.schedule.size()),
-                                lower_bound: Some(lower_bound),
-                                time_ms: self.config.timing.then_some(match cache {
-                                    CacheStatus::Miss => entry.route_ms,
-                                    CacheStatus::Hit => 0.0,
-                                }),
-                                code: None,
-                                error: None,
-                            },
-                            schedule: Some(schedule),
-                        }
-                    }
-                }
-            }
-        })
+        let (outcome, routed) = self.pending.pop_front()?.finish();
+        Some(RouteResult { outcome, schedule: routed.map(|routed| routed.replay()) })
     }
 
     /// Collect and discard every submitted-but-uncollected job, leaving
@@ -910,31 +693,22 @@ impl Engine {
     /// Cache counters since engine construction (snapshot-diff with
     /// [`CacheStats::since`] for per-batch numbers).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.session.core.cache.stats()
     }
 
     /// How many crashed workers the pool's supervisor has respawned.
     pub fn worker_restarts(&self) -> u64 {
-        self.pool.restarts()
+        self.session.core.pool.restarts()
     }
 
     /// Live fault-injection counters (all zero when chaos is disarmed).
     pub fn chaos(&self) -> &ChaosState {
-        self.pool.chaos()
+        self.session.core.pool.chaos()
     }
 
     /// The configuration the engine was built with.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // The pool's own Drop closes the queue and joins the workers;
-        // flagging first makes busy workers drain queued items without
-        // routing them, so dropping mid-queue cannot deadlock.
-        self.pool.begin_shutdown();
+        &self.session.core.config
     }
 }
 

@@ -10,9 +10,15 @@
 //!
 //! * [`job`] — [`RouteJob`]/[`RouteOutcome`]: the serde request/response
 //!   types and their JSONL wire format (`repro batch` speaks this).
-//! * [`engine`] — [`Engine`]: bounded work queue, std-thread worker
-//!   pool, deterministic job-id-ordered output, backpressure, graceful
-//!   shutdown. Output bytes are independent of the worker count.
+//! * `session` — the one path from a job line to an outcome: ordered
+//!   sessions over a shared core (config, canonical cache, worker pool).
+//!   A session plans each job, takes its `cache` status from a private
+//!   mirror of its own stream, dispatches misses, and finishes jobs in
+//!   order, under their deadlines. Output bytes are independent of the
+//!   worker count and of other sessions sharing the core.
+//! * [`engine`] — [`Engine`]: one session over a core it owns, with a
+//!   bounded work queue (backpressure), std-thread worker pool, and
+//!   graceful shutdown; `repro batch` runs on it.
 //! * [`cache`] — the sharded LRU keyed on a **canonical form** of
 //!   `(topology, π)`: translation of the support bounding box plus the
 //!   eight dihedral grid symmetries (defect patterns included — dead
@@ -25,12 +31,13 @@
 //!   displacement, block-locality score); non-grid topologies resolve to
 //!   approximate token swapping, the topology-generic router.
 //! * [`daemon`] / [`client`] — a long-lived TCP server speaking the same
-//!   JSONL wire format, one stream per connection: per-connection
-//!   determinism (outcome order and bytes match `repro batch` for the
-//!   same job list), a shared concurrent cache with per-shard locking,
-//!   bounded per-client admission control, graceful drain on shutdown,
-//!   and a `stats` request returning a [`StatsSnapshot`]. The blocking
-//!   [`Client`] drives it from tests, `repro ctl`, and benchmarks.
+//!   JSONL wire format, one session per connection over a shared core:
+//!   a connection's outcome bytes match `repro batch` for the same job
+//!   list, the shared cache dedups compute across connections, and the
+//!   daemon adds bounded per-client admission control, graceful drain on
+//!   shutdown, and a `stats` request returning a [`StatsSnapshot`]. The
+//!   blocking [`Client`] drives it from tests, `repro ctl`, and
+//!   benchmarks.
 //! * [`errors`] — [`ServiceError`], the one error type of the service
 //!   layer, with a stable machine-readable [`ServiceError::code`]
 //!   carried in the `"code"` field of error outcomes.
@@ -71,6 +78,7 @@ pub mod engine;
 pub mod errors;
 pub mod job;
 pub mod pretty;
+mod session;
 
 pub use cache::{
     canonicalize, canonicalize_topology, CacheStats, CanonicalForm, CanonicalKey, ShardedLru,

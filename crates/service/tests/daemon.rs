@@ -5,12 +5,13 @@
 //! flooding client, and `stats`/`shutdown` control requests must work
 //! over the wire with a full graceful drain.
 
-use qroute_service::{Client, Daemon, Engine, EngineConfig, RouteJob};
+use qroute_service::{Client, Daemon, Engine, EngineConfig, RouteJob, StatsSnapshot};
 
-/// The reference bytes: the same lines through the in-process engine,
-/// default (untimed) configuration — what `repro batch` would emit.
-fn engine_reference(lines: &[String]) -> String {
-    let mut engine = Engine::new(EngineConfig::builder().build().unwrap());
+/// The reference bytes: the same lines through an in-process engine
+/// with the daemon's (untimed) configuration — what `repro batch` would
+/// emit.
+fn engine_reference(config: &EngineConfig, lines: &[String]) -> String {
+    let mut engine = Engine::new(config.clone());
     for line in lines {
         match RouteJob::from_json_line(line) {
             Ok(job) => engine.submit(&job),
@@ -63,36 +64,100 @@ fn daemon_bytes(client: &mut Client, lines: &[String]) -> String {
     out
 }
 
-#[test]
-fn concurrent_clients_each_match_the_single_threaded_batch_bytes() {
-    let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::builder().build().unwrap())
-        .expect("bind an ephemeral port");
+/// Every connection gets its own stream, replayed concurrently against
+/// one daemon built from `config`; each must match the in-process
+/// bytes. Returns each connection's bytes and the daemon's stats after
+/// all streams finished.
+fn assert_each_connection_matches_batch(
+    case: &str,
+    config: EngineConfig,
+    streams: Vec<Vec<String>>,
+) -> (Vec<String>, StatsSnapshot) {
+    let daemon = Daemon::bind("127.0.0.1:0", config.clone()).expect("bind an ephemeral port");
     let addr = daemon.local_addr();
-    const CLIENTS: usize = 4;
-    const JOBS: usize = 60;
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| {
+    let clients = streams.len() as u64;
+    let handles: Vec<_> = streams
+        .into_iter()
+        .map(|lines| {
+            let config = config.clone();
             std::thread::spawn(move || {
-                let lines = job_lines(c, JOBS);
                 let mut client = Client::connect(addr).expect("connect");
-                (daemon_bytes(&mut client, &lines), engine_reference(&lines))
+                (
+                    daemon_bytes(&mut client, &lines),
+                    engine_reference(&config, &lines),
+                )
             })
         })
         .collect();
+    let mut outputs = Vec::new();
     for (c, handle) in handles.into_iter().enumerate() {
         let (daemon_out, reference) = handle.join().expect("client thread");
         assert_eq!(
             daemon_out, reference,
-            "client {c}: daemon bytes diverged from the in-process batch"
+            "{case}, client {c}: daemon bytes diverged from the in-process batch"
         );
-        assert!(daemon_out.contains("\"cache\":\"hit\""), "client {c}");
+        assert!(
+            daemon_out.contains("\"cache\":\"hit\""),
+            "{case}, client {c}"
+        );
+        outputs.push(daemon_out);
+    }
+    let stats = daemon.stats();
+    assert_eq!(stats.connections, clients, "{case}");
+    assert!(stats.jobs_routed > 0, "{case}");
+    (outputs, stats)
+}
+
+#[test]
+fn concurrent_clients_each_match_the_single_threaded_batch_bytes() {
+    const CLIENTS: usize = 4;
+    const JOBS: usize = 60;
+    let streams = || -> Vec<Vec<String>> { (0..CLIENTS).map(|c| job_lines(c, JOBS)).collect() };
+    let (outputs, stats) = assert_each_connection_matches_batch(
+        "default config",
+        EngineConfig::builder().build().unwrap(),
+        streams(),
+    );
+    for (c, daemon_out) in outputs.iter().enumerate() {
         assert!(daemon_out.contains("\"code\":\"parse\""), "client {c}");
         assert!(daemon_out.contains("\"code\":\"version\""), "client {c}");
     }
-    let stats = daemon.stats();
-    assert_eq!(stats.connections, CLIENTS as u64);
-    assert!(stats.jobs_routed > 0);
     assert!(stats.jobs_errored > 0);
+
+    // A cache small enough that every stream evicts: each connection's
+    // mirror must evict exactly like the in-process engine's. Each line
+    // is sent twice in a row so the stream also hits.
+    let doubled = streams()
+        .into_iter()
+        .map(|lines| {
+            lines
+                .into_iter()
+                .flat_map(|line| [line.clone(), line])
+                .collect()
+        })
+        .collect();
+    let (_, stats) = assert_each_connection_matches_batch(
+        "evicting cache",
+        EngineConfig::builder()
+            .cache_capacity(4)
+            .cache_shards(2)
+            .build()
+            .unwrap(),
+        doubled,
+    );
+    assert!(stats.cache_evictions > 0, "{stats:?}");
+
+    // Every topology kind: defective grids, heavy-hex, brick, torus.
+    let defects: Vec<String> = include_str!("../../../examples/jobs_defects.jsonl")
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(String::from)
+        .collect();
+    assert_each_connection_matches_batch(
+        "jobs_defects.jsonl",
+        EngineConfig::builder().build().unwrap(),
+        vec![defects.clone(), defects],
+    );
 }
 
 #[test]
@@ -287,7 +352,10 @@ fn a_client_dying_mid_stream_leaves_the_daemon_healthy() {
     // client's stream was fully computed, so replaying it adds no new
     // misses — and the bytes still match the single-threaded batch.
     let mut client = Client::connect(addr).expect("connect after the kill");
-    assert_eq!(daemon_bytes(&mut client, &lines), engine_reference(&lines));
+    assert_eq!(
+        daemon_bytes(&mut client, &lines),
+        engine_reference(&EngineConfig::builder().build().unwrap(), &lines)
+    );
     let stats = daemon.stats();
     assert_eq!(
         stats.cache_misses, after_kill.cache_misses,
