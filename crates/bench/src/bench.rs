@@ -62,8 +62,13 @@ use std::fmt::Write as _;
 /// run-configuration fields; v5 — adds the routing-daemon throughput
 /// matrix (`daemon_cells`: jobs and shared-cache counters per
 /// concurrent-client count, replaying `examples/jobs.jsonl` through a
-/// live TCP daemon) and the `daemon_clients` run-configuration field.
-pub const SCHEMA_VERSION: u64 = 5;
+/// live TCP daemon) and the `daemon_clients` run-configuration field;
+/// v6 — drops the ungated service and daemon matrices (`service_cells`,
+/// `daemon_cells` and the `service_sides` / `service_seeds` /
+/// `daemon_clients` fields; the separate `routebench` benchmark measures
+/// the engine and the daemon end to end) and the retired `ats-serial`,
+/// `tree` and `snake` permutation cells.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Relative mean-runtime regression tolerated by the baseline check
 /// (`0.25` = 25% slower), applied only when both reports captured timing.
@@ -158,18 +163,11 @@ pub struct BenchConfig {
     pub circuit_sides: Vec<usize>,
     /// Seeds per circuit cell (`0..circuit_seeds`).
     pub circuit_seeds: u64,
-    /// Square-grid sides in the routing-service throughput matrix.
-    pub service_sides: Vec<usize>,
-    /// Seeds per workload class in each service batch (`0..service_seeds`).
-    pub service_seeds: u64,
     /// Base sides in the non-grid topology matrix (a side-`s` entry means
     /// an `s × s` defective grid and an `s × s` heavy-hex lattice).
     pub defect_sides: Vec<usize>,
     /// Seeds per defect cell (`0..defect_seeds`).
     pub defect_seeds: u64,
-    /// Concurrent-client counts in the daemon throughput matrix (each
-    /// client replays `examples/jobs.jsonl` over its own connection).
-    pub daemon_clients: Vec<usize>,
 }
 
 impl BenchConfig {
@@ -190,11 +188,8 @@ impl BenchConfig {
             timing: true,
             circuit_sides: vec![4, 8],
             circuit_seeds: 3,
-            service_sides: vec![8, 16],
-            service_seeds: 3,
             defect_sides: vec![8, 16],
             defect_seeds: 3,
-            daemon_clients: vec![1, 4, 8],
         }
     }
 
@@ -208,11 +203,8 @@ impl BenchConfig {
             timing: false,
             circuit_sides: vec![4, 8],
             circuit_seeds: 2,
-            service_sides: vec![8, 16],
-            service_seeds: 2,
             defect_sides: vec![8, 16],
             defect_seeds: 2,
-            daemon_clients: vec![1, 4, 8],
         }
     }
 }
@@ -289,41 +281,6 @@ impl CircuitBenchCell {
     /// The cell's identity within a report's circuit matrix.
     pub fn key(&self) -> (&str, &str, usize) {
         (self.router.as_str(), self.class.as_str(), self.side)
-    }
-}
-
-/// One routing-service throughput cell: a standard repetitive job batch
-/// (two passes over every workload class × seed, `auto` dispatch) pushed
-/// through [`qroute_service::Engine`] at a given worker count.
-///
-/// Hit/miss/evict counts are deterministic (the engine makes every cache
-/// decision in job order), so they are byte-stable in the committed
-/// baseline; `jobs_per_sec` is wall-clock-derived and zeroed when timing
-/// capture is off, exactly like the `time_ms` summaries elsewhere.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServiceBenchCell {
-    /// Grid side (square grids).
-    pub side: usize,
-    /// Engine worker threads used for this cell.
-    pub workers: usize,
-    /// Jobs in the batch.
-    pub jobs: usize,
-    /// Canonical-cache hits.
-    pub cache_hits: u64,
-    /// Canonical-cache misses.
-    pub cache_misses: u64,
-    /// Canonical-cache evictions.
-    pub cache_evictions: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`.
-    pub hit_rate: f64,
-    /// Batch throughput (`0.0` when timing capture was disabled).
-    pub jobs_per_sec: f64,
-}
-
-impl ServiceBenchCell {
-    /// The cell's identity within a report's service matrix.
-    pub fn key(&self) -> (usize, usize) {
-        (self.side, self.workers)
     }
 }
 
@@ -468,161 +425,6 @@ pub fn measure_defect_cell(
     }
 }
 
-/// The worker-count axis of the service throughput matrix. Outcome
-/// metrics are worker-count invariant by the engine's determinism
-/// guarantee; only `jobs_per_sec` varies.
-pub const SERVICE_WORKER_AXIS: [usize; 2] = [1, 4];
-
-/// The standard service batch for one side: two passes over every
-/// workload class × seed with `auto` routing — the repetitive shape a
-/// transpilation campaign produces, so the second pass is all cache hits.
-pub fn service_jobs(side: usize, seeds: u64) -> Vec<qroute_service::RouteJob> {
-    let mut jobs = Vec::new();
-    for _pass in 0..2 {
-        for class in WorkloadClass::all_classes() {
-            for seed in 0..seeds {
-                jobs.push(
-                    qroute_service::RouteJob::from_class(side, "auto", &class.label(), seed)
-                        .expect("bench class labels are valid service classes"),
-                );
-            }
-        }
-    }
-    jobs
-}
-
-/// Measure one service throughput cell.
-pub fn measure_service_cell(
-    side: usize,
-    workers: usize,
-    seeds: u64,
-    timing: bool,
-) -> ServiceBenchCell {
-    let mut engine = qroute_service::Engine::new(
-        qroute_service::EngineConfig::builder()
-            .workers(workers)
-            .build()
-            .expect("the service worker axis is valid"),
-    );
-    let jobs = service_jobs(side, seeds);
-    let job_count = jobs.len();
-    let t0 = std::time::Instant::now();
-    let outcomes = engine.run(jobs);
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert!(
-        outcomes.iter().all(|o| o.error.is_none()),
-        "service bench batch must route cleanly"
-    );
-    let stats = engine.cache_stats();
-    ServiceBenchCell {
-        side,
-        workers,
-        jobs: job_count,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        cache_evictions: stats.evictions,
-        hit_rate: stats.hit_rate(),
-        jobs_per_sec: if timing && elapsed > 0.0 {
-            job_count as f64 / elapsed
-        } else {
-            0.0
-        },
-    }
-}
-
-/// The JSONL job stream every daemon bench client replays — the
-/// committed example batch, so the daemon matrix exercises exactly the
-/// wire format the README documents.
-pub const DAEMON_BENCH_JOBS: &str = include_str!("../../../examples/jobs.jsonl");
-
-/// One routing-daemon throughput cell: `clients` concurrent connections
-/// each replaying [`DAEMON_BENCH_JOBS`] through a live TCP daemon.
-///
-/// The shared-cache counters are deterministic regardless of client
-/// interleaving: the shard-locked get-or-insert admits exactly one miss
-/// per distinct canonical key (the capacity far exceeds the distinct
-/// keys in the example batch, so nothing evicts), and every other lookup
-/// hits. `jobs_per_sec` is wall-clock-derived and zeroed when timing
-/// capture is off, exactly like `jobs_per_sec` in the service matrix.
-#[derive(Debug, Clone, Serialize)]
-pub struct DaemonBenchCell {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Total jobs routed across all clients.
-    pub jobs: usize,
-    /// Shared canonical-cache hits.
-    pub cache_hits: u64,
-    /// Shared canonical-cache misses (= distinct canonical keys).
-    pub cache_misses: u64,
-    /// Shared canonical-cache evictions.
-    pub cache_evictions: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`.
-    pub hit_rate: f64,
-    /// Aggregate throughput across clients (`0.0` when timing capture
-    /// was disabled).
-    pub jobs_per_sec: f64,
-}
-
-impl DaemonBenchCell {
-    /// The cell's identity within a report's daemon matrix.
-    pub fn key(&self) -> usize {
-        self.clients
-    }
-}
-
-/// Measure one daemon throughput cell: bind an in-process daemon on an
-/// ephemeral port, replay [`DAEMON_BENCH_JOBS`] from `clients`
-/// concurrent connections, and snapshot the shared-cache counters after
-/// every client drained.
-pub fn measure_daemon_cell(clients: usize, timing: bool) -> DaemonBenchCell {
-    let daemon = qroute_service::Daemon::bind(
-        "127.0.0.1:0",
-        qroute_service::EngineConfig::builder()
-            .build()
-            .expect("the default engine config is valid"),
-    )
-    .expect("bind the bench daemon on an ephemeral port");
-    let addr = daemon.local_addr();
-    let t0 = std::time::Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut client =
-                    qroute_service::Client::connect(addr).expect("connect to the bench daemon");
-                let outcomes = client
-                    .route_lines(DAEMON_BENCH_JOBS.lines())
-                    .expect("replay the example batch");
-                assert!(
-                    outcomes.iter().all(|l| l.ends_with("\"error\":null}")),
-                    "daemon bench batch must route cleanly"
-                );
-                outcomes.len()
-            })
-        })
-        .collect();
-    let jobs: usize = handles
-        .into_iter()
-        .map(|h| h.join().expect("bench client thread"))
-        .sum();
-    let elapsed = t0.elapsed().as_secs_f64();
-    let stats = daemon.stats();
-    daemon.shutdown();
-    daemon.join();
-    DaemonBenchCell {
-        clients,
-        jobs,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_evictions: stats.cache_evictions,
-        hit_rate: stats.hit_rate,
-        jobs_per_sec: if timing && elapsed > 0.0 {
-            jobs as f64 / elapsed
-        } else {
-            0.0
-        },
-    }
-}
-
 /// A complete benchmark report — the `BENCH.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
@@ -639,13 +441,6 @@ pub struct BenchReport {
     /// The non-grid topology matrix, sorted by (topology, router, side).
     /// Gated like the permutation matrix (mean depth, 5% tolerance).
     pub defect_cells: Vec<DefectBenchCell>,
-    /// The service throughput matrix, sorted by (side, workers).
-    /// Informational (not gated): hit counts are pinned by the service
-    /// test suites, and throughput is machine-dependent.
-    pub service_cells: Vec<ServiceBenchCell>,
-    /// The daemon throughput matrix, sorted by client count.
-    /// Informational (not gated), like the service matrix.
-    pub daemon_cells: Vec<DaemonBenchCell>,
 }
 
 /// The router axis of the permutation benchmark matrix: every
@@ -855,27 +650,6 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
     canonical_key_order(&mut cells, BenchCell::key);
     canonical_key_order(&mut circuit_cells, CircuitBenchCell::key);
     canonical_key_order(&mut defect_cells, DefectBenchCell::key);
-    // Service cells always run serially: each cell owns a worker pool,
-    // and timed throughput must not fight rayon for cores.
-    let mut service_cells = Vec::new();
-    for &side in &config.service_sides {
-        for workers in SERVICE_WORKER_AXIS {
-            service_cells.push(measure_service_cell(
-                side,
-                workers,
-                config.service_seeds,
-                timing,
-            ));
-        }
-    }
-    service_cells.sort_by_key(ServiceBenchCell::key);
-    // Daemon cells likewise run serially: each cell owns a live TCP
-    // daemon with its own worker pool and client threads.
-    let mut daemon_cells = Vec::new();
-    for &clients in &config.daemon_clients {
-        daemon_cells.push(measure_daemon_cell(clients, timing));
-    }
-    daemon_cells.sort_by_key(DaemonBenchCell::key);
     BenchReport {
         schema_version: SCHEMA_VERSION,
         env: BenchEnv::capture(),
@@ -883,8 +657,6 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
         cells,
         circuit_cells,
         defect_cells,
-        service_cells,
-        daemon_cells,
     }
 }
 
@@ -892,7 +664,7 @@ pub fn run_bench(config: &BenchConfig) -> BenchReport {
 /// --routers`): the permutation matrix restricted to `routers`, every
 /// other matrix skipped. Reuses the run configuration (sides, seeds,
 /// timing) and the report schema, so the output is a valid `BENCH.json`
-/// whose circuit/defect/service/daemon matrices are empty.
+/// whose circuit and defect matrices are empty.
 pub fn run_router_smoke(config: &BenchConfig, routers: &[RouterKind]) -> BenchReport {
     let timing = config.timing;
     let seeds = config.seeds;
@@ -920,8 +692,6 @@ pub fn run_router_smoke(config: &BenchConfig, routers: &[RouterKind]) -> BenchRe
         cells,
         circuit_cells: Vec::new(),
         defect_cells: Vec::new(),
-        service_cells: Vec::new(),
-        daemon_cells: Vec::new(),
     }
 }
 
@@ -1018,11 +788,6 @@ impl BenchReport {
                 time_ms: summary_field(c, "time_ms")?,
             });
         }
-        let u64_field = |v: &serde_json::Value, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        };
         let circuit_cells_v = doc
             .get("circuit_cells")
             .and_then(|v| v.as_array())
@@ -1062,39 +827,6 @@ impl BenchReport {
                 time_ms: summary_field(c, "time_ms")?,
             });
         }
-        let service_cells_v = doc
-            .get("service_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing service_cells array")?;
-        let mut service_cells = Vec::with_capacity(service_cells_v.len());
-        for c in service_cells_v {
-            service_cells.push(ServiceBenchCell {
-                side: uint_field(c, "side")?,
-                workers: uint_field(c, "workers")?,
-                jobs: uint_field(c, "jobs")?,
-                cache_hits: u64_field(c, "cache_hits")?,
-                cache_misses: u64_field(c, "cache_misses")?,
-                cache_evictions: u64_field(c, "cache_evictions")?,
-                hit_rate: num_field(c, "hit_rate")?,
-                jobs_per_sec: num_field(c, "jobs_per_sec")?,
-            });
-        }
-        let daemon_cells_v = doc
-            .get("daemon_cells")
-            .and_then(|v| v.as_array())
-            .ok_or("missing daemon_cells array")?;
-        let mut daemon_cells = Vec::with_capacity(daemon_cells_v.len());
-        for c in daemon_cells_v {
-            daemon_cells.push(DaemonBenchCell {
-                clients: uint_field(c, "clients")?,
-                jobs: uint_field(c, "jobs")?,
-                cache_hits: u64_field(c, "cache_hits")?,
-                cache_misses: u64_field(c, "cache_misses")?,
-                cache_evictions: u64_field(c, "cache_evictions")?,
-                hit_rate: num_field(c, "hit_rate")?,
-                jobs_per_sec: num_field(c, "jobs_per_sec")?,
-            });
-        }
         Ok(BenchReport {
             schema_version: version,
             env: BenchEnv {
@@ -1115,23 +847,15 @@ impl BenchReport {
                     .get("circuit_seeds")
                     .and_then(|v| v.as_u64())
                     .ok_or("missing config.circuit_seeds")?,
-                service_sides: side_list(config_v, "service_sides")?,
-                service_seeds: config_v
-                    .get("service_seeds")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("missing config.service_seeds")?,
                 defect_sides: side_list(config_v, "defect_sides")?,
                 defect_seeds: config_v
                     .get("defect_seeds")
                     .and_then(|v| v.as_u64())
                     .ok_or("missing config.defect_seeds")?,
-                daemon_clients: side_list(config_v, "daemon_clients")?,
             },
             cells,
             circuit_cells,
             defect_cells,
-            service_cells,
-            daemon_cells,
         })
     }
 }
@@ -1425,11 +1149,8 @@ mod tests {
             timing: false,
             circuit_sides: vec![4],
             circuit_seeds: 1,
-            service_sides: vec![4],
-            service_seeds: 1,
             defect_sides: vec![5],
             defect_seeds: 1,
-            daemon_clients: vec![1, 2],
         }
     }
 
@@ -1491,77 +1212,6 @@ mod tests {
         let wide = measure_circuit_cell(4, CircuitClass::SparseRandom, &RouterKind::Ats, 1, false);
         assert!(!wide.statevector_checked);
         assert_eq!(wide.logical_qubits, 16);
-    }
-
-    #[test]
-    fn service_cells_cover_the_worker_axis_with_invariant_cache_metrics() {
-        let report = run_bench(&tiny_config());
-        assert_eq!(report.service_cells.len(), SERVICE_WORKER_AXIS.len());
-        let keys: Vec<_> = report
-            .service_cells
-            .iter()
-            .map(ServiceBenchCell::key)
-            .collect();
-        assert_eq!(keys, vec![(4, 1), (4, 4)]);
-        let reference = &report.service_cells[0];
-        let jobs = service_jobs(4, 1).len();
-        assert_eq!(reference.jobs, jobs);
-        // Two passes over the class pool: at least the entire second pass
-        // hits (cross-class canonical collisions can only add more — on a
-        // 4x4 grid `random`, `block4` and `overlap8s4` even generate the
-        // same instance).
-        assert_eq!(reference.cache_hits + reference.cache_misses, jobs as u64);
-        assert!(reference.cache_hits >= jobs as u64 / 2, "{reference:?}");
-        assert!(reference.cache_misses >= 1, "{reference:?}");
-        assert!(reference.hit_rate >= 0.5 && reference.hit_rate < 1.0);
-        assert_eq!(
-            reference.jobs_per_sec, 0.0,
-            "untimed cells record no throughput"
-        );
-        for cell in &report.service_cells[1..] {
-            assert_eq!(cell.cache_hits, reference.cache_hits);
-            assert_eq!(cell.cache_misses, reference.cache_misses);
-            assert_eq!(cell.cache_evictions, reference.cache_evictions);
-        }
-        // Timed measurement produces a real throughput number.
-        let timed = measure_service_cell(4, 2, 1, true);
-        assert!(timed.jobs_per_sec > 0.0);
-    }
-
-    #[test]
-    fn daemon_cells_cover_the_client_axis_with_deterministic_cache_counters() {
-        let report = run_bench(&tiny_config());
-        assert_eq!(report.daemon_cells.len(), 2);
-        let keys: Vec<_> = report
-            .daemon_cells
-            .iter()
-            .map(DaemonBenchCell::key)
-            .collect();
-        assert_eq!(keys, vec![1, 2]);
-        let batch_len = DAEMON_BENCH_JOBS
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .count();
-        let single = &report.daemon_cells[0];
-        assert_eq!(single.jobs, batch_len);
-        assert_eq!(single.cache_hits + single.cache_misses, batch_len as u64);
-        assert_eq!(single.cache_evictions, 0, "{single:?}");
-        assert_eq!(
-            single.jobs_per_sec, 0.0,
-            "untimed cells record no throughput"
-        );
-        // The distinct-key count is interleaving-independent: N clients
-        // replaying the same batch miss exactly once per distinct key.
-        let double = &report.daemon_cells[1];
-        assert_eq!(double.jobs, 2 * batch_len);
-        assert_eq!(double.cache_misses, single.cache_misses);
-        assert_eq!(
-            double.cache_hits,
-            2 * batch_len as u64 - single.cache_misses
-        );
-        // Timed measurement produces a real throughput number.
-        let timed = measure_daemon_cell(2, true);
-        assert!(timed.jobs_per_sec > 0.0);
     }
 
     #[test]

@@ -110,14 +110,13 @@ USAGE:
 Markdown tables print to stdout; CSV/JSON/SVG files land in --out
 (default results/).
 
-bench writes the machine-readable BENCH.json (schema v5: env metadata +
+bench writes the machine-readable BENCH.json (schema v6: env metadata +
 per router×class×side permutation cells with depth/size/lower-bound/time
 percentiles over seeds, circuit cells with swap/routing-depth/
-invocation/time percentiles over verified transpiles, defect cells
-routing non-grid topologies per topology×router×side, service cells
-with jobs/sec + cache hit rate per side×workers, and daemon cells
-replaying the example batch through a live TCP daemon per
-concurrent-client count) to --out.
+invocation/time percentiles over verified transpiles, and defect cells
+routing non-grid topologies per topology×router×side) to --out. Engine
+and daemon throughput is measured end to end by routebench (see
+routebench/README.md).
 Bench-only flags:
     --quick           CI gate config: 2 seeds, timing off (deterministic)
     --no-time         skip wall-clock capture (byte-stable output)
@@ -127,7 +126,7 @@ Bench-only flags:
     --routers R,S     smoke mode: run only the permutation matrix,
                       restricted to the named routers (labels as in the
                       support matrix, e.g. pathfinder,ats); skips the
-                      circuit/defect/service/daemon matrices and cannot
+                      circuit and defect matrices and cannot
                       combine with --baseline
     --baseline F      compare against a committed BENCH.json
     --check           with --baseline: exit 1 on regression

@@ -297,7 +297,6 @@ pub fn optimality_gap(seeds: u64) -> Vec<OptGapRow> {
         RouterKind::locality_aware(),
         RouterKind::naive(),
         RouterKind::Ats,
-        RouterKind::Snake,
     ];
     let mut rows = Vec::new();
     for grid in shapes {
@@ -446,7 +445,7 @@ mod tests {
     #[test]
     fn optimality_gap_rows_are_sane() {
         let rows = optimality_gap(2);
-        assert_eq!(rows.len(), 3 * 4);
+        assert_eq!(rows.len(), 3 * 3);
         for r in &rows {
             assert!(r.mean_router >= r.mean_opt);
             assert!(r.max_ratio >= 1.0);

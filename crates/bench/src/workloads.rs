@@ -75,9 +75,8 @@ impl WorkloadClass {
 
     /// Every *full-permutation* workload class, with the default
     /// parameterizations: the paper classes plus the skinny-cycle
-    /// adversarial case. This is the class pool of the service/daemon
-    /// benchmark cells; the permutation matrix additionally benches
-    /// [`WorkloadClass::bench_classes`].
+    /// adversarial case. The permutation matrix benches
+    /// [`WorkloadClass::bench_classes`], which extends this pool.
     pub fn all_classes() -> Vec<WorkloadClass> {
         let mut classes = WorkloadClass::paper_classes();
         classes.push(WorkloadClass::Skinny);
@@ -86,10 +85,7 @@ impl WorkloadClass {
 
     /// The class axis of the permutation benchmark matrix
     /// (`repro bench`): [`WorkloadClass::all_classes`] plus the sparse
-    /// partial-permutation class the pathfinder router targets. Kept
-    /// separate from `all_classes` so the service throughput cells —
-    /// which replay the `all_classes` pool — keep byte-identical
-    /// baselines.
+    /// partial-permutation class the pathfinder router targets.
     pub fn bench_classes() -> Vec<WorkloadClass> {
         let mut classes = WorkloadClass::all_classes();
         classes.push(WorkloadClass::SparsePairs);
@@ -120,8 +116,8 @@ mod tests {
         assert_eq!(&bench[..all.len()], &all[..]);
         assert_eq!(bench.len(), all.len() + 1);
         assert_eq!(bench.last().unwrap().label(), "sparse-pairs");
-        // The service cells replay `all_classes`; the sparse class must
-        // not leak into that pool or their baselines change.
+        // `all_classes` is the full-permutation pool; the partial
+        // sparse class must not leak into it.
         assert!(all.iter().all(|c| *c != WorkloadClass::SparsePairs));
     }
 

@@ -53,7 +53,6 @@ pub mod pathfinder;
 pub mod product_route;
 pub mod router;
 pub mod schedule;
-pub mod snake;
 pub mod stats;
 pub mod token_swap;
 

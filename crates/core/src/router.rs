@@ -10,17 +10,14 @@ use crate::grid_route::{naive_grid_route, NaiveOptions};
 use crate::local_grid::{main_procedure, LocalRouteOptions};
 use crate::pathfinder::{pathfinder_route_grid, pathfinder_route_with, PathfinderOptions};
 use crate::schedule::RoutingSchedule;
-use crate::token_swap::{
-    approximate_token_swapping_with, ats_route_grid, parallel_token_swapping_with, serial_schedule,
-    tree_route,
-};
+use crate::token_swap::{ats_route_grid, parallel_token_swapping_with};
 use qroute_perm::Permutation;
-use qroute_topology::{Grid, GridOracle, Topology};
+use qroute_topology::{Grid, Topology};
 
 /// A router was asked to route a topology it does not support. The
-/// matching-based routers (locality-aware, naive-grid, hybrid) and the
-/// serpentine baseline are defined in grid coordinates and require a full
-/// grid; the token-swapping routers accept any connected topology.
+/// matching-based routers (locality-aware, naive-grid, hybrid) are
+/// defined in grid coordinates and require a full grid; the
+/// token-swapping routers accept any connected topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnsupportedTopology {
     /// The router's stable label.
@@ -31,10 +28,17 @@ pub struct UnsupportedTopology {
 
 impl std::fmt::Display for UnsupportedTopology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let generic: Vec<&str> = RouterKind::all_default()
+            .iter()
+            .filter(|kind| kind.is_topology_generic())
+            .map(RouterKind::label)
+            .collect();
         write!(
             f,
-            "router {} supports only full grids, not {} (topology-generic routers: ats, ats-serial, tree, pathfinder)",
-            self.router, self.topology
+            "router {} supports only full grids, not {} (topology-generic routers: {})",
+            self.router,
+            self.topology,
+            generic.join(", ")
         )
     }
 }
@@ -78,16 +82,6 @@ pub enum RouterKind {
     /// swaps batched into maximal disjoint layers) — the form benchmarked
     /// in the paper's figures.
     Ats,
-    /// Serial approximate token swapping, post-hoc parallelized with the
-    /// ASAP pass — much deeper; kept to expose how much the parallel
-    /// construction matters.
-    AtsSerial,
-    /// Guaranteed-terminating tree placement (crude baseline; serial
-    /// schedule parallelized by the ASAP pass).
-    Tree,
-    /// Odd–even transposition along the serpentine Hamiltonian path —
-    /// the 1-D emulation baseline showing why 2-D routing matters.
-    Snake,
     /// Congestion-negotiated per-token A* routing (the PathFinder
     /// rip-up-and-reroute idiom), with an ATS fallback past the round
     /// cap. Shines on sparse partial permutations where the
@@ -134,28 +128,25 @@ impl RouterKind {
             RouterKind::naive(),
             RouterKind::hybrid(),
             RouterKind::Ats,
-            RouterKind::AtsSerial,
-            RouterKind::Tree,
-            RouterKind::Snake,
             RouterKind::pathfinder(),
         ]
     }
 
     /// Whether this kind can route the given topology: every kind
     /// handles full grids; only the topology-generic kinds (`ats`,
-    /// `ats-serial`, `tree`, `pathfinder`) handle defective grids,
-    /// heavy-hex, brick walls and tori. The routing service checks this
-    /// at submit time so unsupported combinations become typed per-job
-    /// errors instead of worker panics.
+    /// `pathfinder`) handle defective grids, heavy-hex, brick walls and
+    /// tori. The routing service checks this at submit time so
+    /// unsupported combinations become typed per-job errors instead of
+    /// worker panics.
     pub fn supports(&self, topology: &Topology) -> bool {
-        topology.as_grid().is_some()
-            || matches!(
-                self,
-                RouterKind::Ats
-                    | RouterKind::AtsSerial
-                    | RouterKind::Tree
-                    | RouterKind::Pathfinder(_)
-            )
+        topology.as_grid().is_some() || self.is_topology_generic()
+    }
+
+    /// Whether this kind routes every connected topology, not only full
+    /// grids — the set [`RouterKind::supports`] admits off-grid and
+    /// [`UnsupportedTopology`]'s message lists.
+    fn is_topology_generic(&self) -> bool {
+        matches!(self, RouterKind::Ats | RouterKind::Pathfinder(_))
     }
 
     /// The stable string label of this kind — the single source of truth
@@ -168,9 +159,6 @@ impl RouterKind {
             RouterKind::NaiveGrid(_) => "naive-grid",
             RouterKind::Hybrid(_, _) => "hybrid",
             RouterKind::Ats => "ats",
-            RouterKind::AtsSerial => "ats-serial",
-            RouterKind::Tree => "tree",
-            RouterKind::Snake => "snake",
             RouterKind::Pathfinder(_) => "pathfinder",
         }
     }
@@ -241,16 +229,6 @@ impl RouterKind {
                     }
                 }
                 RouterKind::Ats => ats_route_grid(grid, pi),
-                RouterKind::AtsSerial => {
-                    let graph = grid.to_graph();
-                    approximate_token_swapping_with(&graph, &GridOracle::new(grid), pi)
-                        .parallelized(grid.len())
-                }
-                RouterKind::Tree => {
-                    let graph = grid.to_graph();
-                    serial_schedule(&tree_route(&graph, pi)).compact(grid.len())
-                }
-                RouterKind::Snake => crate::snake::snake_route(grid, pi).compact(grid.len()),
                 RouterKind::Pathfinder(opts) => pathfinder_route_grid(grid, pi, opts),
             });
         }
@@ -262,7 +240,7 @@ impl RouterKind {
         }
         // Token-swapping path on an arbitrary topology. Route on the
         // compacted frame (dead vertices removed) so the spanning-tree
-        // machinery inside ATS and the tree router never sees isolated
+        // machinery inside ATS's fallback never sees isolated
         // dead vertices, then relabel the schedule back to topology ids.
         let n = topology.len();
         assert_eq!(pi.len(), n, "permutation size must match the topology");
@@ -287,13 +265,6 @@ impl RouterKind {
         let oracle = topology.oracle(&frame.graph);
         let schedule = match self {
             RouterKind::Ats => parallel_token_swapping_with(&frame.graph, &oracle, &frame_pi),
-            RouterKind::AtsSerial => {
-                approximate_token_swapping_with(&frame.graph, &oracle, &frame_pi)
-                    .parallelized(frame.graph.len())
-            }
-            RouterKind::Tree => {
-                serial_schedule(&tree_route(&frame.graph, &frame_pi)).compact(frame.graph.len())
-            }
             RouterKind::Pathfinder(opts) => {
                 pathfinder_route_with(&frame.graph, &oracle, &frame_pi, opts)
             }
@@ -369,9 +340,6 @@ mod tests {
                 "naive-grid",
                 "hybrid",
                 "ats",
-                "ats-serial",
-                "tree",
-                "snake",
                 "pathfinder"
             ]
         );
@@ -421,12 +389,7 @@ mod tests {
         ];
         for topology in &topologies {
             let graph = topology.graph();
-            for router in [
-                RouterKind::Ats,
-                RouterKind::AtsSerial,
-                RouterKind::Tree,
-                RouterKind::pathfinder(),
-            ] {
+            for router in [RouterKind::Ats, RouterKind::pathfinder()] {
                 for seed in 0..3 {
                     let pi = alive_random(topology, seed);
                     let s = router.route_on(topology, &pi).unwrap();
@@ -445,7 +408,6 @@ mod tests {
             RouterKind::locality_aware(),
             RouterKind::naive(),
             RouterKind::hybrid(),
-            RouterKind::Snake,
         ] {
             assert!(!router.supports(&topology));
             let err = router.route_on(&topology, &pi).unwrap_err();
@@ -453,13 +415,19 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains("full grids"), "{msg}");
             assert!(msg.contains("heavy-hex"), "{msg}");
+            // Every router the message offers instead exists and routes
+            // the rejected topology.
+            let (_, generic) = msg
+                .split_once("topology-generic routers: ")
+                .unwrap_or_else(|| panic!("no router list in {msg}"));
+            let offered: Vec<&str> = generic.trim_end_matches(')').split(", ").collect();
+            assert_eq!(offered, ["ats", "pathfinder"], "{msg}");
+            for label in offered {
+                let kind: RouterKind = label.parse().expect("offered label parses");
+                assert!(kind.supports(&topology), "{label}");
+            }
         }
-        for router in [
-            RouterKind::Ats,
-            RouterKind::AtsSerial,
-            RouterKind::Tree,
-            RouterKind::pathfinder(),
-        ] {
+        for router in [RouterKind::Ats, RouterKind::pathfinder()] {
             assert!(router.supports(&topology));
         }
     }

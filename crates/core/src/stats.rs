@@ -229,7 +229,12 @@ mod tests {
         let grid = Grid::new(8, 8);
         let pi = generators::random(64, 5);
         let par = schedule_stats(grid, &pi, &RouterKind::locality_aware().route(grid, &pi));
-        let ser = schedule_stats(grid, &pi, &RouterKind::AtsSerial.route(grid, &pi));
+        let serial = crate::token_swap::approximate_token_swapping_with(
+            &grid.to_graph(),
+            &qroute_topology::GridOracle::new(grid),
+            &pi,
+        );
+        let ser = schedule_stats(grid, &pi, &serial.parallelized(grid.len()));
         assert!(
             par.mean_layer_occupancy > ser.mean_layer_occupancy,
             "3-phase ({:.2}) should pack layers better than serialized ATS ({:.2})",

@@ -416,8 +416,18 @@ impl Subscriber for MemorySubscriber {
 mod tests {
     use super::*;
 
+    /// Held by every test that arms the global subscriber or needs it
+    /// disarmed: the test harness runs tests on parallel threads, and
+    /// the global slot is shared by all of them.
+    static GLOBAL_SLOT: Mutex<()> = Mutex::new(());
+
+    fn global_slot() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn disarmed_emits_nothing_and_returns_the_value() {
+        let _slot = global_slot();
         let got = span("outer", || {
             event("inner", &[("k", FieldValue::U64(1))]);
             41 + 1
@@ -427,6 +437,7 @@ mod tests {
 
     #[test]
     fn thread_local_subscriber_sees_spans_and_events_then_restores() {
+        let _slot = global_slot();
         let sub = Arc::new(MemorySubscriber::new());
         let got = with_subscriber(Arc::clone(&sub) as Arc<dyn Subscriber>, || {
             span_with("phase", &[("router", FieldValue::Str("ats"))], || {
@@ -471,6 +482,7 @@ mod tests {
 
     #[test]
     fn global_subscriber_arms_spawned_threads() {
+        let _slot = global_slot();
         let sub = Arc::new(CountingSubscriber::new());
         let prev = install_global(Some(Arc::clone(&sub) as Arc<dyn Subscriber>));
         std::thread::spawn(|| span("worker", || event("tick", &[])))

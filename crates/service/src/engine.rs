@@ -1022,10 +1022,13 @@ mod tests {
         assert_eq!(out[0].router.as_deref(), Some("ats"));
         // ... while a job naming its own router overrides the default.
         let named = RouteJob::from_json_line(
-            r#"{"side": 4, "router": "tree", "class": "random", "seed": 0}"#,
+            r#"{"side": 4, "router": "pathfinder", "class": "random", "seed": 0}"#,
         )
         .unwrap();
-        assert_eq!(pinned.run(vec![named])[0].router.as_deref(), Some("tree"));
+        assert_eq!(
+            pinned.run(vec![named])[0].router.as_deref(),
+            Some("pathfinder")
+        );
     }
 
     #[test]

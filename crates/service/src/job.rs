@@ -727,6 +727,19 @@ mod tests {
                 r#"{"side": 4, "router": "warp", "class": "random", "seed": 0}"#,
                 "warp",
             ),
+            // Retired router kinds are unknown labels, not panics.
+            (
+                r#"{"side": 4, "router": "ats-serial", "class": "random", "seed": 0}"#,
+                r#"unknown router label "ats-serial""#,
+            ),
+            (
+                r#"{"side": 4, "router": "tree", "class": "random", "seed": 0}"#,
+                r#"unknown router label "tree""#,
+            ),
+            (
+                r#"{"side": 4, "router": "snake", "class": "random", "seed": 0}"#,
+                r#"unknown router label "snake""#,
+            ),
             (r#"{"side": 4, "class": "random"}"#, "seed"),
             (r#"{"side": 4, "perm": [0], "seed": 1}"#, "seed"),
             (r#"{"side": 4, "perm": [0], "class": "random"}"#, "pick one"),

@@ -65,7 +65,7 @@ proptest! {
     fn cache_hit_matches_cold_route(
         side in 2usize..7,
         kind in 0usize..5,
-        router_idx in 0usize..7,
+        router_idx in 0..RouterKind::all_default().len(),
         seed in 0u64..1000,
     ) {
         let grid = Grid::new(side, side);
@@ -90,7 +90,7 @@ proptest! {
     fn symmetric_instances_replay_feasibly(
         side in 2usize..7,
         kind in 0usize..5,
-        router_idx in 0usize..7,
+        router_idx in 0..RouterKind::all_default().len(),
         seed in 0u64..1000,
     ) {
         let grid = Grid::new(side, side);
@@ -181,7 +181,7 @@ proptest! {
     fn engine_numbers_match_direct_canonical_route(
         side in 2usize..7,
         kind in 0usize..5,
-        router_idx in 0usize..7,
+        router_idx in 0..RouterKind::all_default().len(),
         seed in 0u64..1000,
     ) {
         let grid = Grid::new(side, side);

@@ -237,7 +237,7 @@ mod tests {
             RouterKind::naive(),
             RouterKind::hybrid(),
             RouterKind::Ats,
-            RouterKind::Tree,
+            RouterKind::pathfinder(),
         ] {
             let res = transpile(grid, &c, router);
             assert_eq!(res.physical.size(), c.size() + res.swap_count);

@@ -6,7 +6,7 @@ use qroute::perm::{generators, metrics, Permutation};
 use qroute::prelude::*;
 use qroute::routing::product_route::{product_route, CycleFactor, PathFactor, ProductRouteOptions};
 use qroute::sim::{equiv, permsim};
-use qroute::topology::{Cycle, Path, Product};
+use qroute::topology::{Cycle, Path, Product, Topology};
 use qroute::transpiler::InitialLayout;
 
 /// Turn a routing schedule into a SWAP circuit on `n` wires.
@@ -62,8 +62,7 @@ fn transpiled_qft_is_statevector_equivalent_for_every_router() {
         RouterKind::naive(),
         RouterKind::hybrid(),
         RouterKind::Ats,
-        RouterKind::AtsSerial,
-        RouterKind::Tree,
+        RouterKind::pathfinder(),
     ] {
         let t = Transpiler::new(
             grid,
@@ -154,6 +153,35 @@ fn torus_routing_beats_grid_lower_bound_consistency() {
     assert!(s.realizes(&pi));
     s.validate_on(&graph).unwrap();
     assert!(s.depth() >= metrics::depth_lower_bound_graph(&graph, &pi));
+}
+
+#[test]
+fn product_route_is_shallower_than_ats_on_the_torus() {
+    // The evidence for keeping `product_route` beside the service's
+    // torus router: on a random permutation of C12 × C12 it needs far
+    // fewer layers than ATS (at the cost of more swaps).
+    let (rows, cols) = (12, 12);
+    let torus = Topology::torus(rows, cols).expect("valid torus");
+    let product = Product::new(Cycle::new(rows).to_graph(), Cycle::new(cols).to_graph());
+    let pi = generators::random(rows * cols, 3);
+    let via_product = product_route(
+        &product,
+        &CycleFactor(Cycle::new(rows)),
+        &CycleFactor(Cycle::new(cols)),
+        &pi,
+        &ProductRouteOptions::default(),
+    );
+    assert!(via_product.realizes(&pi));
+    via_product.validate_on(&torus.graph()).unwrap();
+    let via_ats = RouterKind::Ats
+        .route_on(&torus, &pi)
+        .expect("ats routes tori");
+    assert!(
+        via_product.depth() < via_ats.depth(),
+        "product_route depth {} vs ats depth {}",
+        via_product.depth(),
+        via_ats.depth()
+    );
 }
 
 #[test]

@@ -130,7 +130,7 @@ proptest! {
     fn compaction_preserves_realized_permutation((m, n, map) in grid_and_perm()) {
         let grid = Grid::new(m, n);
         let pi = Permutation::from_vec(map).unwrap();
-        let s = RouterKind::Tree.route(grid, &pi);
+        let s = token_swap::serial_schedule(&token_swap::tree_route(&grid.to_graph(), &pi));
         let c = s.compact(grid.len());
         prop_assert!(c.depth() <= s.depth());
         prop_assert_eq!(

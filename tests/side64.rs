@@ -1,6 +1,6 @@
 //! Side-64 (4096-qubit) smoke test: the scale the distance-oracle
 //! overhaul unlocked. Every `RouterKind` must terminate and realize π on
-//! a 64×64 grid — before the overhaul the ATS routers alone would
+//! a 64×64 grid — before the overhaul the ATS router alone would
 //! materialize a 64 MiB APSP table per call here.
 //!
 //! The workload is block-local (the paper's own regime) so the whole
@@ -20,9 +20,6 @@ fn all_router_kinds() -> Vec<RouterKind> {
         RouterKind::NaiveGrid(NaiveOptions::plain()),
         RouterKind::hybrid(),
         RouterKind::Ats,
-        RouterKind::AtsSerial,
-        RouterKind::Tree,
-        RouterKind::Snake,
     ]
 }
 

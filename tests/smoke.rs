@@ -16,9 +16,7 @@ fn all_router_kinds() -> Vec<RouterKind> {
         RouterKind::NaiveGrid(NaiveOptions::plain()),
         RouterKind::hybrid(),
         RouterKind::Ats,
-        RouterKind::AtsSerial,
-        RouterKind::Tree,
-        RouterKind::Snake,
+        RouterKind::pathfinder(),
     ]
 }
 

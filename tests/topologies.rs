@@ -113,12 +113,10 @@ proptest! {
             return Ok(()); // the pattern cut the grid
         }
         let pi = alive_random(&topology, seed);
-        for router in [RouterKind::Ats, RouterKind::AtsSerial] {
-            let schedule = router
-                .route_on(&topology, &pi)
-                .expect("token swapping accepts any connected topology");
-            prop_assert!(schedule.validate_on(&topology.graph()).is_ok(), "{:?}", router);
-            prop_assert!(schedule.realizes(&pi), "{:?}", router);
-        }
+        let schedule = RouterKind::Ats
+            .route_on(&topology, &pi)
+            .expect("token swapping accepts any connected topology");
+        prop_assert!(schedule.validate_on(&topology.graph()).is_ok());
+        prop_assert!(schedule.realizes(&pi));
     }
 }
