@@ -529,7 +529,8 @@ pub fn measure_circuit_cell(
 }
 
 /// Measure one benchmark cell: route `seeds` instances, verify every
-/// schedule, and summarize each metric's per-seed samples.
+/// schedule (it must realize π and every layer must be a matching of
+/// coupling edges), and summarize each metric's per-seed samples.
 pub fn measure_bench_cell(
     side: usize,
     class: WorkloadClass,
@@ -538,6 +539,7 @@ pub fn measure_bench_cell(
     timing: bool,
 ) -> BenchCell {
     let grid = Grid::new(side, side);
+    let graph = grid.to_graph();
     let mut depths = Vec::with_capacity(seeds as usize);
     let mut sizes = Vec::with_capacity(seeds as usize);
     let mut lbs = Vec::with_capacity(seeds as usize);
@@ -550,6 +552,10 @@ pub fn measure_bench_cell(
             "{} produced a wrong schedule",
             router.label()
         );
+        timed
+            .schedule
+            .validate_on(&graph)
+            .unwrap_or_else(|e| panic!("{} infeasible on {grid:?}: {e:?}", router.label()));
         depths.push(timed.stats.depth as f64);
         sizes.push(timed.stats.size as f64);
         lbs.push(timed.stats.lower_bound as f64);

@@ -15,7 +15,8 @@
 //!
 //! * [`schedule`] — [`SwapLayer`]/[`RoutingSchedule`]: application,
 //!   verification, matching-validity checks, and the ASAP depth-compaction
-//!   pass shared by all routers.
+//!   pass shared by all routers; [`PackedSchedule`], the compact form the
+//!   routing service caches.
 //! * [`line`](mod@line) — odd–even transposition routing on a path: the primitive
 //!   each phase of the 3-phase grid algorithm runs on rows/columns.
 //! * [`grid_route`] — `GridRoute(G, π; σ₁,…,σₙ)` (Alon–Chung–Graham
@@ -60,5 +61,5 @@ pub use budget::{BudgetExceeded, CancelToken, RouteBudget};
 pub use local_grid::{AssignmentStrategy, LocalRouteOptions, WindowMode};
 pub use pathfinder::{pathfinder_route_grid, pathfinder_route_with, PathfinderOptions};
 pub use router::{GridRouter, RouterKind, UnsupportedTopology};
-pub use schedule::{RoutingSchedule, ScheduleError, SwapLayer};
+pub use schedule::{PackedSchedule, RoutingSchedule, ScheduleError, SwapLayer};
 pub use stats::{route_timed, schedule_stats, SampleSummary, ScheduleStats, TimedRoute};

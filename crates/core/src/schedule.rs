@@ -229,6 +229,71 @@ impl RoutingSchedule {
     }
 }
 
+/// A [`RoutingSchedule`] packed into one allocation of `u32` words,
+/// laid out as `[depth, end_0, …, end_{depth-1}, u0, v0, u1, v1, …]`,
+/// where `end_k` counts the swaps in layers `0..=k`. That is 8 bytes per
+/// swap plus 4 per layer, against 16 per swap plus a `Vec` header per
+/// layer unpacked — the form the routing service keeps in its cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedSchedule {
+    words: Box<[u32]>,
+}
+
+impl PackedSchedule {
+    /// Pack `schedule`.
+    ///
+    /// # Panics
+    /// Panics when a vertex id or the swap count exceeds `u32::MAX`.
+    pub fn pack(schedule: &RoutingSchedule) -> PackedSchedule {
+        fn word(x: usize) -> u32 {
+            u32::try_from(x).expect("schedule does not fit u32 words")
+        }
+        let depth = schedule.depth();
+        let mut words = Vec::with_capacity(1 + depth + 2 * schedule.size());
+        words.push(word(depth));
+        let mut end = 0;
+        for layer in &schedule.layers {
+            end += layer.len();
+            words.push(word(end));
+        }
+        for (u, v) in schedule.swaps() {
+            words.extend([word(u), word(v)]);
+        }
+        PackedSchedule { words: words.into_boxed_slice() }
+    }
+
+    /// Number of layers, as [`RoutingSchedule::depth`].
+    pub fn depth(&self) -> usize {
+        self.words[0] as usize
+    }
+
+    /// Total number of swaps, as [`RoutingSchedule::size`].
+    pub fn size(&self) -> usize {
+        (self.words.len() - 1 - self.depth()) / 2
+    }
+
+    /// Unpack with every swap endpoint mapped through `f`, as
+    /// [`RoutingSchedule::relabeled`] does; `relabeled(|v| v)` gives back
+    /// the packed schedule.
+    pub fn relabeled(&self, mut f: impl FnMut(usize) -> usize) -> RoutingSchedule {
+        let (ends, swaps) = self.words[1..].split_at(self.depth());
+        let mut start = 0;
+        let layers = ends
+            .iter()
+            .map(|&end| {
+                let end = end as usize;
+                let layer = swaps[2 * start..2 * end]
+                    .chunks_exact(2)
+                    .map(|uv| (f(uv[0] as usize), f(uv[1] as usize)))
+                    .collect();
+                start = end;
+                SwapLayer::new(layer)
+            })
+            .collect();
+        RoutingSchedule { layers }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,5 +432,31 @@ mod tests {
         s.push_layer(layer(&[(0, 1)]));
         s.push_layer(layer(&[(0, 1)]));
         assert!(s.realizes(&Permutation::identity(2)));
+    }
+
+    #[test]
+    fn packed_schedule_round_trips() {
+        let s = RoutingSchedule::from_layers(vec![
+            layer(&[(0, 1), (2, 3)]),
+            layer(&[(1, 2)]),
+            layer(&[(0, 1), (4, 5), (2, 3)]),
+        ]);
+        let packed = PackedSchedule::pack(&s);
+        assert_eq!(packed.depth(), 3);
+        assert_eq!(packed.size(), 6);
+        assert_eq!(packed.relabeled(|v| v), s);
+        assert_eq!(packed.relabeled(|v| 5 - v), s.relabeled(|v| 5 - v));
+
+        let empty = PackedSchedule::pack(&RoutingSchedule::empty());
+        assert_eq!((empty.depth(), empty.size()), (0, 0));
+        assert_eq!(empty.relabeled(|v| v), RoutingSchedule::empty());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not fit u32")]
+    fn packing_rejects_vertex_ids_past_u32() {
+        let wide = u32::MAX as usize + 1;
+        PackedSchedule::pack(&RoutingSchedule::from_layers(vec![layer(&[(0, wide)])]));
     }
 }

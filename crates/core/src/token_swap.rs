@@ -284,6 +284,11 @@ pub fn parallel_token_swapping_with(
     let mut path_pos = vec![0usize; n];
     let mut epoch = 0u64;
     let mut path: Vec<usize> = Vec::with_capacity(n);
+    // Stuck-phase scratch, stamped with the round that set it: a vertex
+    // is claimed (or dead) in the current phase iff its stamp equals
+    // `round`, so no per-phase clearing. Rounds start at 1.
+    let mut claimed = vec![0u64; n];
+    let mut dead = vec![0u64; n];
 
     while let Some(start) = (0..n).find(|&v| dest[v] != v) {
         // One cooperative cancellation probe per parallel round.
@@ -348,12 +353,33 @@ pub fn parallel_token_swapping_with(
         // each walk yields a swap chain (cycle shift or unhappy step).
         // Chains are vertex-disjoint, so chain i's j-th swap shares a
         // layer with chain k's j-th swap — regions unstick in parallel.
-        let mut claimed = vec![false; n];
+        //
+        // Dead-vertex rule. Within the phase `dest` is frozen and claims
+        // only grow. A walk follows f(v) = the smallest-id unclaimed
+        // neighbour strictly closer to v's target, and f(v) changes only
+        // when that neighbour gets claimed. When a walk ends boxed in,
+        // every vertex on its path is marked dead for the rest of the
+        // phase; a later walk that steps onto a dead vertex stops boxed
+        // in, and a dead start is skipped. This is exact. By induction
+        // over the phase's walks, the f-path from a dead vertex runs
+        // through dead vertices only and ends boxed in, and no dead
+        // vertex is ever claimed. A later walk that enters a dead vertex
+        // follows that path: each f-value on it still points at the
+        // same dead (so unclaimed) vertex, and smaller-id candidates stay
+        // claimed. It meets no home token, since the earlier walk would
+        // have swapped with it. It closes no cycle: the path is simple,
+        // and its f-values point only at dead vertices, never back into
+        // the walk's own prefix, which holds none (the walk stops at its
+        // first dead vertex). So the later walk ends boxed in too and
+        // claims nothing: stopping at the dead vertex drops no chain and
+        // changes no output byte.
         let mut chains: Vec<Vec<(usize, usize)>> = Vec::new();
+        let (mut walks, mut boxed) = (0u64, 0u64);
         for s in start..n {
-            if dest[s] == s || claimed[s] {
+            if dest[s] == s || claimed[s] == round || dead[s] == round {
                 continue;
             }
+            walks += 1;
             epoch += 1;
             path.clear();
             visited_epoch[s] = epoch;
@@ -365,8 +391,11 @@ pub fn parallel_token_swapping_with(
                 let dcur = oracle.dist(cur, target);
                 let next = graph
                     .neighbors(cur)
-                    .find(|&w| !claimed[w] && oracle.dist(w, target) < dcur);
-                let Some(next) = next else { break None }; // boxed in by claims
+                    .find(|&w| claimed[w] != round && oracle.dist(w, target) < dcur);
+                // Boxed in by claims, or onto a trajectory that is.
+                let Some(next) = next.filter(|&w| dead[w] != round) else {
+                    break None;
+                };
                 if dest[next] == next {
                     break Some(vec![(cur, next)]); // unhappy swap
                 }
@@ -385,12 +414,20 @@ pub fn parallel_token_swapping_with(
                 path.push(next);
                 cur = next;
             };
-            if let Some(swaps) = chain {
-                for &(a, b) in &swaps {
-                    claimed[a] = true;
-                    claimed[b] = true;
+            match chain {
+                Some(swaps) => {
+                    for &(a, b) in &swaps {
+                        claimed[a] = round;
+                        claimed[b] = round;
+                    }
+                    chains.push(swaps);
                 }
-                chains.push(swaps);
+                None => {
+                    boxed += 1;
+                    for &v in &path {
+                        dead[v] = round;
+                    }
+                }
             }
         }
         // The first walk runs over a claim-free graph and always finds a
@@ -404,6 +441,8 @@ pub fn parallel_token_swapping_with(
                 ("kind", qroute_obs::FieldValue::Str("stuck")),
                 ("chains", qroute_obs::FieldValue::U64(chains.len() as u64)),
                 ("max_chain", qroute_obs::FieldValue::U64(maxlen as u64)),
+                ("walks", qroute_obs::FieldValue::U64(walks)),
+                ("boxed", qroute_obs::FieldValue::U64(boxed)),
             ],
         );
         for j in 0..maxlen {
@@ -535,8 +574,13 @@ pub fn serial_schedule(swaps: &[(usize, usize)]) -> RoutingSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qroute_obs::trace::{with_subscriber, Subscriber, TraceRecord};
+    use qroute_obs::FieldValue;
     use qroute_perm::{generators, metrics};
-    use qroute_topology::{gridlike, ApspOracle, Cycle, CycleOracle, Path};
+    use qroute_topology::{
+        gridlike, ApspOracle, Cycle, CycleOracle, Path, ProductOracle, Topology,
+    };
+    use std::sync::Arc;
 
     /// The pre-overhaul serial ATS, verbatim: full APSP table, generic
     /// neighbor scan, and a fresh walk from `todo[0]` after every swap
@@ -660,6 +704,208 @@ mod tests {
             let fast = approximate_token_swapping_with(&g, &CycleOracle::new(c), &pi);
             assert_eq!(fast.serial_swaps, reference, "cycle seed {seed}");
         }
+    }
+
+    /// The parallel ATS before the stuck phase's dead-vertex rule,
+    /// verbatim except for its trace events and cancellation probe: every
+    /// stuck walk runs to its end, and `claimed` is a fresh `Vec<bool>`
+    /// per phase. The current implementation must reproduce its
+    /// schedules *exactly* — only the work may differ.
+    fn reference_parallel_ats(
+        graph: &Graph,
+        oracle: &impl DistanceOracle,
+        pi: &Permutation,
+    ) -> RoutingSchedule {
+        let n = graph.len();
+        let mut dest: Vec<usize> = (0..n).map(|v| pi.apply(v)).collect();
+        let mut schedule = RoutingSchedule::empty();
+        let phi0: usize = (0..n).map(|v| oracle.dist(v, dest[v]) as usize).sum();
+        let budget_layers = 4 * phi0 + 8 * n + 64;
+
+        let mut used = vec![u64::MAX; n];
+        let mut round: u64 = 0;
+        let mut visited_epoch = vec![0u64; n];
+        let mut path_pos = vec![0usize; n];
+        let mut epoch = 0u64;
+        let mut path: Vec<usize> = Vec::with_capacity(n);
+
+        while let Some(start) = (0..n).find(|&v| dest[v] != v) {
+            if schedule.depth() > budget_layers {
+                let rest = Permutation::from_vec_unchecked(dest.clone());
+                for (u, v) in tree_route(graph, &rest) {
+                    schedule.push_layer(SwapLayer::new(vec![(u, v)]));
+                    dest.swap(u, v);
+                }
+                break;
+            }
+            round += 1;
+            let mut layer = SwapLayer::default();
+            for &(u, v) in graph.edges() {
+                if used[u] == round || used[v] == round {
+                    continue;
+                }
+                let (du, dv) = (dest[u], dest[v]);
+                if du != u
+                    && dv != v
+                    && oracle.dist(v, du) < oracle.dist(u, du)
+                    && oracle.dist(u, dv) < oracle.dist(v, dv)
+                {
+                    layer.swaps.push((u, v));
+                    used[u] = round;
+                    used[v] = round;
+                }
+            }
+            if !layer.is_empty() {
+                for &(u, v) in &layer.swaps {
+                    dest.swap(u, v);
+                }
+                schedule.push_layer(layer);
+                continue;
+            }
+
+            let mut claimed = vec![false; n];
+            let mut chains: Vec<Vec<(usize, usize)>> = Vec::new();
+            for s in start..n {
+                if dest[s] == s || claimed[s] {
+                    continue;
+                }
+                epoch += 1;
+                path.clear();
+                visited_epoch[s] = epoch;
+                path_pos[s] = 0;
+                path.push(s);
+                let mut cur = s;
+                let chain: Option<Vec<(usize, usize)>> = loop {
+                    let target = dest[cur];
+                    let dcur = oracle.dist(cur, target);
+                    let next = graph
+                        .neighbors(cur)
+                        .find(|&w| !claimed[w] && oracle.dist(w, target) < dcur);
+                    let Some(next) = next else { break None };
+                    if dest[next] == next {
+                        break Some(vec![(cur, next)]);
+                    }
+                    if visited_epoch[next] == epoch {
+                        let pos = path_pos[next];
+                        let cycle = &path[pos..];
+                        break Some(
+                            (1..cycle.len())
+                                .rev()
+                                .map(|k| (cycle[k - 1], cycle[k]))
+                                .collect(),
+                        );
+                    }
+                    visited_epoch[next] = epoch;
+                    path_pos[next] = path.len();
+                    path.push(next);
+                    cur = next;
+                };
+                if let Some(swaps) = chain {
+                    for &(a, b) in &swaps {
+                        claimed[a] = true;
+                        claimed[b] = true;
+                    }
+                    chains.push(swaps);
+                }
+            }
+            let maxlen = chains.iter().map(Vec::len).max().unwrap_or(0);
+            for j in 0..maxlen {
+                let mut layer = SwapLayer::default();
+                for ch in &chains {
+                    if let Some(&s) = ch.get(j) {
+                        layer.swaps.push(s);
+                    }
+                }
+                for &(a, b) in &layer.swaps {
+                    dest.swap(a, b);
+                }
+                schedule.push_layer(layer);
+            }
+        }
+
+        schedule.compact(n)
+    }
+
+    #[test]
+    fn parallel_ats_matches_reference() {
+        fn pin(what: &str, graph: &Graph, oracle: &impl DistanceOracle) {
+            for seed in 0..3 {
+                let pi = generators::random(graph.len(), seed);
+                assert_eq!(
+                    parallel_token_swapping_with(graph, oracle, &pi),
+                    reference_parallel_ats(graph, oracle, &pi),
+                    "{what} seed {seed}"
+                );
+            }
+        }
+        for (m, n) in [(1, 9), (3, 7), (8, 8), (16, 16)] {
+            let grid = Grid::new(m, n);
+            pin(
+                &format!("{m}x{n} grid"),
+                &grid.to_graph(),
+                &GridOracle::new(grid),
+            );
+        }
+        for (what, g) in [
+            ("heavy-hex", gridlike::heavy_hex(4, 8)),
+            ("brick-wall", gridlike::brick_wall(8, 8)),
+        ] {
+            pin(what, &g, &LazyBfsOracle::new(&g));
+        }
+        let torus = Topology::torus(9, 12).unwrap().graph();
+        let product = ProductOracle::new(
+            CycleOracle::new(Cycle::new(9)),
+            CycleOracle::new(Cycle::new(12)),
+        );
+        pin("torus", &torus, &product);
+        let defective =
+            Topology::grid_with_defects(Grid::new(12, 12), &[13, 30, 77, 100], &[(50, 51)])
+                .unwrap();
+        let frame = defective.routing_frame().graph;
+        pin("defective frame", &frame, &LazyBfsOracle::new(&frame));
+    }
+
+    /// Collects `[chains, walks, boxed]` from stuck `ats.round` events.
+    #[derive(Default)]
+    struct StuckRounds(std::sync::Mutex<Vec<[u64; 3]>>);
+
+    impl Subscriber for StuckRounds {
+        fn on_record(&self, record: &TraceRecord<'_>) {
+            let field = |name: &str| record.fields.iter().find(|(k, _)| *k == name).map(|f| f.1);
+            if record.name != "ats.round"
+                || !matches!(field("kind"), Some(FieldValue::Str("stuck")))
+            {
+                return;
+            }
+            let count = |name: &str| match field(name) {
+                Some(FieldValue::U64(x)) => x,
+                other => panic!("stuck round field {name}: {other:?}"),
+            };
+            self.0
+                .lock()
+                .unwrap()
+                .push([count("chains"), count("walks"), count("boxed")]);
+        }
+    }
+
+    #[test]
+    fn stuck_rounds_report_walks_and_boxed_walks() {
+        let grid = Grid::new(8, 8);
+        let pi = generators::random(grid.len(), 0);
+        let rounds = Arc::new(StuckRounds::default());
+        with_subscriber(Arc::clone(&rounds) as Arc<dyn Subscriber>, || {
+            parallel_token_swapping_with(&grid.to_graph(), &GridOracle::new(grid), &pi)
+        });
+        let rounds = rounds.0.lock().unwrap().clone();
+        assert!(!rounds.is_empty(), "a random 8x8 instance gets stuck");
+        // Every walk started ends in a chain or boxed in.
+        for &[chains, walks, boxed] in &rounds {
+            assert_eq!(walks, chains + boxed, "{rounds:?}");
+        }
+        assert!(
+            rounds.iter().any(|r| r[2] > 0),
+            "no walk ended boxed in: {rounds:?}"
+        );
     }
 
     #[test]

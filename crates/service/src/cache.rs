@@ -26,14 +26,15 @@
 //! themselves — duplicates still share entries.
 //!
 //! The engine routes the canonical representative on its canonical
-//! topology and replays the cached [`RoutingSchedule`] back through the
-//! inverse symmetry ([`CanonicalForm::replay`]), which preserves layer
+//! topology, caches the schedule packed ([`PackedSchedule`]), and
+//! replays it back through the inverse symmetry
+//! ([`CanonicalForm::replay_packed`]), which preserves layer
 //! structure (identical depth and size) and maps box edges to coupling
 //! edges of the original topology. Differential tests in
 //! `tests/cache_differential.rs` prove the replayed schedule is feasible
 //! and realizes the original permutation for arbitrary instances.
 
-use qroute_core::RoutingSchedule;
+use qroute_core::{PackedSchedule, RoutingSchedule};
 use qroute_perm::Permutation;
 use qroute_topology::{Grid, GridSymmetry, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,6 +87,11 @@ impl CanonicalForm {
     /// the result is valid on the original topology and realizes the
     /// original permutation (extended by the identity outside the box).
     pub fn replay(&self, schedule: &RoutingSchedule) -> RoutingSchedule {
+        schedule.relabeled(|v| self.to_original[v])
+    }
+
+    /// [`CanonicalForm::replay`] straight from a packed cache entry.
+    pub fn replay_packed(&self, schedule: &PackedSchedule) -> RoutingSchedule {
         schedule.relabeled(|v| self.to_original[v])
     }
 }

@@ -20,7 +20,7 @@ use crate::errors::ServiceError;
 use crate::job::{RouteJob, RouteOutcome, RouterSpec};
 use crate::session::{Core, Pending, Session};
 use qroute_core::budget::{self, BudgetExceeded, CancelToken, QuietUnwind, RouteBudget};
-use qroute_core::{GridRouter, RouterKind, RoutingSchedule};
+use qroute_core::{GridRouter, PackedSchedule, RouterKind, RoutingSchedule};
 use qroute_perm::Permutation;
 use qroute_topology::Topology;
 use std::collections::VecDeque;
@@ -204,7 +204,7 @@ impl EngineConfigBuilder {
 /// A routed canonical instance as produced by a worker.
 #[derive(Debug, Clone)]
 pub(crate) struct RoutedEntry {
-    pub(crate) schedule: Arc<RoutingSchedule>,
+    pub(crate) schedule: Arc<PackedSchedule>,
     /// Wall-clock routing time, when [`EngineConfig::timing`] is on.
     pub(crate) route_ms: Option<f64>,
 }
@@ -387,8 +387,8 @@ fn worker_main(ctx: &WorkerContext) {
         let route_ms = ctx.timing.then(|| t0.elapsed().as_secs_f64() * 1e3);
         match routed {
             Ok(Ok(Ok(schedule))) => {
-                item.slot
-                    .fill(Ok(RoutedEntry { schedule: Arc::new(schedule), route_ms }));
+                let schedule = Arc::new(PackedSchedule::pack(&schedule));
+                item.slot.fill(Ok(RoutedEntry { schedule, route_ms }));
             }
             // Unsupported topologies are normally rejected on the submit
             // thread; this arm is a backstop.

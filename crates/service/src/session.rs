@@ -23,7 +23,9 @@
 //! The engine is one session over a core it owns and replays each
 //! canonical entry into the job's frame ([`Routed::replay`]); each daemon
 //! connection is one session over the daemon's core and answers depth
-//! and size from the canonical schedule without replaying.
+//! and size from the canonical schedule without replaying. Workers pack
+//! each schedule once ([`PackedSchedule`]); entries stay packed in the
+//! cache and in every slot.
 //!
 //! **Determinism.** A job's `cache` status is the answer of its
 //! session's private *mirror* (same capacity and sharding as the shared
@@ -47,7 +49,7 @@ use crate::engine::{EngineConfig, RouteSlot, WorkItem, WorkerPool};
 use crate::errors::ServiceError;
 use crate::job::{CacheStatus, RouteJob, RouteOutcome, RouterSpec};
 use qroute_core::budget::RouteBudget;
-use qroute_core::{RouterKind, RoutingSchedule, UnsupportedTopology};
+use qroute_core::{PackedSchedule, RouterKind, RoutingSchedule, UnsupportedTopology};
 use qroute_perm::{metrics, Permutation};
 use qroute_topology::Topology;
 use std::sync::Arc;
@@ -226,13 +228,13 @@ struct Admitted {
 /// into the job's own frame.
 pub(crate) struct Routed {
     job: Admitted,
-    schedule: Arc<RoutingSchedule>,
+    schedule: Arc<PackedSchedule>,
 }
 
 impl Routed {
     /// The schedule in the job's original frame.
     pub(crate) fn replay(&self) -> RoutingSchedule {
-        let schedule = self.job.canonical.replay(&self.schedule);
+        let schedule = self.job.canonical.replay_packed(&self.schedule);
         debug_assert!(
             schedule.realizes(&self.job.pi),
             "replayed schedule must realize the job's permutation"

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use qroute::perm::{metrics, Permutation};
 use qroute::prelude::*;
 use qroute::routing::line::{route_line, route_line_best, FirstParity};
-use qroute::routing::token_swap;
+use qroute::routing::{token_swap, PackedSchedule};
 use qroute::topology::{dist, DistanceOracle, GridOracle, LazyBfsOracle};
 
 /// Strategy: a grid shape and a random permutation of its vertices.
@@ -170,6 +170,25 @@ proptest! {
         // Support = sum of non-trivial cycle lengths.
         let support: usize = cycles.iter().map(Vec::len).sum();
         prop_assert_eq!(support, p.support_size());
+    }
+
+    #[test]
+    fn packed_schedule_round_trips(
+        (m, n, map) in grid_and_perm(),
+        raw in proptest::collection::vec(proptest::collection::vec((0usize..40, 0usize..40), 0..4), 0..6),
+    ) {
+        // Router output (the identity on 1x1 grids gives the empty
+        // schedule) plus arbitrary layer lists, empty layers included.
+        let grid = Grid::new(m, n);
+        let pi = Permutation::from_vec(map).unwrap();
+        let raw = RoutingSchedule::from_layers(raw.into_iter().map(SwapLayer::new).collect());
+        for s in [RouterKind::Ats.route(grid, &pi), RouterKind::locality_aware().route(grid, &pi), raw] {
+            let packed = PackedSchedule::pack(&s);
+            prop_assert_eq!(packed.depth(), s.depth());
+            prop_assert_eq!(packed.size(), s.size());
+            prop_assert_eq!(packed.relabeled(|v| v), s.clone());
+            prop_assert_eq!(packed.relabeled(|v| 3 * v + 1), s.relabeled(|v| 3 * v + 1));
+        }
     }
 
     #[test]
