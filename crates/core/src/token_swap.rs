@@ -254,9 +254,23 @@ pub fn parallel_token_swapping(graph: &Graph, pi: &Permutation) -> RoutingSchedu
 /// [`parallel_token_swapping`] with an explicit [`DistanceOracle`] (see
 /// [`approximate_token_swapping_with`] for the oracle contract).
 ///
+/// A round costs what the previous round changed, not the size of the
+/// graph. The happy edges live in a bitset over edge ids that one full
+/// scan fills; after a round's swaps land, only the edges incident to a
+/// swapped vertex are re-scored, found through a per-vertex
+/// edge-incidence index. The unfinished vertices live in a second bitset,
+/// updated from the same swapped vertices, so the first unfinished vertex
+/// and the stuck phase's walk starts come from a word scan instead of a
+/// pass over every vertex. Selection walks the happy bits in ascending
+/// edge id and picks exactly the layer a full scan in canonical edge
+/// order would, so schedules do not depend on the bookkeeping. All
+/// scratch is allocated once per call.
+///
 /// # Panics
-/// Panics when `π`, `graph` and `oracle` disagree in size, or when some
-/// destination is unreachable (disconnected graph).
+/// Panics when `π`, `graph` and `oracle` disagree in size, when some
+/// destination is unreachable (disconnected graph), or when a stuck phase
+/// finds no swap chain, which an oracle answering the shortest-path
+/// distances of `graph` never allows.
 pub fn parallel_token_swapping_with(
     graph: &Graph,
     oracle: &impl DistanceOracle,
@@ -278,19 +292,82 @@ pub fn parallel_token_swapping_with(
     let phi0: usize = (0..n).map(|v| oracle.dist(v, dest[v]) as usize).sum();
     let budget_layers = 4 * phi0 + 8 * n + 64;
 
-    let mut used = vec![u64::MAX; n];
+    // Edge (u, v) is happy when both tokens are unfinished and the swap
+    // moves each strictly closer to its destination.
+    let edges = graph.edges();
+    let is_happy = |dest: &[usize], (u, v): (usize, usize)| {
+        let (du, dv) = (dest[u], dest[v]);
+        du != u
+            && dv != v
+            && oracle.dist(v, du) < oracle.dist(u, du)
+            && oracle.dist(u, dv) < oracle.dist(v, dv)
+    };
+    // Edge-incidence index, CSR over u32: `incident[first[v]..first[v + 1]]`
+    // holds the ids of v's edges in `graph.edges()` order.
+    let mut first: Vec<u32> = Vec::with_capacity(n + 1);
+    first.push(0);
+    for v in 0..n {
+        first.push(first[v] + graph.degree(v) as u32);
+    }
+    let mut incident = vec![0u32; 2 * edges.len()];
+    let mut fill = first[..n].to_vec();
+    for (e, &(u, v)) in edges.iter().enumerate() {
+        for w in [u, v] {
+            incident[fill[w] as usize] = e as u32;
+            fill[w] += 1;
+        }
+    }
+    let mut happy = BitSet::new(edges.len());
+    let mut unfinished = BitSet::new(n);
+
+    // Round-stamped scratch, so nothing is cleared per round.
+    // `taken[v] == r` iff round r swapped v in its happy layer or claimed
+    // it in its stuck phase; every vertex starts stamped with round 0.
+    // `dead` is the stuck phase's dead-vertex mark.
     let mut round: u64 = 0;
+    let mut taken = vec![0u64; n];
+    let mut dead = vec![0u64; n];
     let mut visited_epoch = vec![0u64; n];
     let mut path_pos = vec![0usize; n];
     let mut epoch = 0u64;
     let mut path: Vec<usize> = Vec::with_capacity(n);
-    // Stuck-phase scratch, stamped with the round that set it: a vertex
-    // is claimed (or dead) in the current phase iff its stamp equals
-    // `round`, so no per-phase clearing. Rounds start at 1.
-    let mut claimed = vec![0u64; n];
-    let mut dead = vec![0u64; n];
+    // The vertices the last round swapped, each once: exactly those
+    // stamped `taken` with its number. For round 0 that is every vertex,
+    // so the first re-score below is the full scan that fills both
+    // bitsets.
+    let mut dirty: Vec<usize> = (0..n).collect();
+    // Stuck-phase chains, flattened: chain k is
+    // `chain_swaps[chain_bounds[k]..chain_bounds[k + 1]]`.
+    let mut chain_swaps: Vec<(usize, usize)> = Vec::with_capacity(n);
+    let mut chain_bounds: Vec<usize> = Vec::with_capacity(n + 1);
+    chain_bounds.push(0);
 
-    while let Some(start) = (0..n).find(|&v| dest[v] != v) {
+    loop {
+        // Re-score only what the last round touched. Whether (u, v) is
+        // happy depends only on dest[u], dest[v] and the fixed oracle, and
+        // whether v is unfinished only on dest[v]; a swap changes dest at
+        // its two endpoints alone. So after any batch of swaps only the
+        // swapped vertices, and the edges incident to them, can change
+        // state.
+        let mut rescored = 0u64;
+        for &w in &dirty {
+            unfinished.set(w, dest[w] != w);
+            for &e in &incident[first[w] as usize..first[w + 1] as usize] {
+                let edge = edges[e as usize];
+                let other = if edge.0 == w { edge.1 } else { edge.0 };
+                // An edge between two swapped vertices is re-scored once,
+                // from its smaller endpoint.
+                if other < w && taken[other] == round {
+                    continue;
+                }
+                happy.set(e as usize, is_happy(&dest, edge));
+                rescored += 1;
+            }
+        }
+        dirty.clear();
+        let Some(start) = unfinished.ones_from(0).next() else {
+            break;
+        };
         // One cooperative cancellation probe per parallel round.
         crate::budget::checkpoint();
         if schedule.depth() > budget_layers {
@@ -312,22 +389,20 @@ pub fn parallel_token_swapping_with(
             break;
         }
         round += 1;
-        // Happy layer: maximal disjoint set in canonical edge order.
+        // Happy layer: maximal disjoint set in canonical edge order. A
+        // greedy scan of every edge in that order skips each unhappy edge,
+        // so a greedy pass over the happy bits in ascending edge id, with
+        // the same `taken` check, picks exactly the same layer.
         let mut layer = SwapLayer::default();
-        for &(u, v) in graph.edges() {
-            if used[u] == round || used[v] == round {
+        for e in happy.ones_from(0) {
+            let (u, v) = edges[e];
+            if taken[u] == round || taken[v] == round {
                 continue;
             }
-            let (du, dv) = (dest[u], dest[v]);
-            if du != u
-                && dv != v
-                && oracle.dist(v, du) < oracle.dist(u, du)
-                && oracle.dist(u, dv) < oracle.dist(v, dv)
-            {
-                layer.swaps.push((u, v));
-                used[u] = round;
-                used[v] = round;
-            }
+            layer.swaps.push((u, v));
+            taken[u] = round;
+            taken[v] = round;
+            dirty.extend([u, v]);
         }
         if !layer.is_empty() {
             qroute_obs::trace::event(
@@ -339,6 +414,7 @@ pub fn parallel_token_swapping_with(
                         "swaps",
                         qroute_obs::FieldValue::U64(layer.swaps.len() as u64),
                     ),
+                    ("rescored", qroute_obs::FieldValue::U64(rescored)),
                 ],
             );
             for &(u, v) in &layer.swaps {
@@ -349,10 +425,11 @@ pub fn parallel_token_swapping_with(
         }
 
         // Stuck: no happy swap anywhere. Run Miltzow walks from *every*
-        // unfinished token over vertices not yet claimed in this phase;
-        // each walk yields a swap chain (cycle shift or unhappy step).
-        // Chains are vertex-disjoint, so chain i's j-th swap shares a
-        // layer with chain k's j-th swap — regions unstick in parallel.
+        // unfinished token, in ascending vertex order, over vertices not
+        // yet claimed in this phase; each walk yields a swap chain (cycle
+        // shift or unhappy step). Chains are vertex-disjoint, so chain
+        // i's j-th swap shares a layer with chain k's j-th swap — regions
+        // unstick in parallel.
         //
         // Dead-vertex rule. Within the phase `dest` is frozen and claims
         // only grow. A walk follows f(v) = the smallest-id unclaimed
@@ -373,10 +450,9 @@ pub fn parallel_token_swapping_with(
         // first dead vertex). So the later walk ends boxed in too and
         // claims nothing: stopping at the dead vertex drops no chain and
         // changes no output byte.
-        let mut chains: Vec<Vec<(usize, usize)>> = Vec::new();
         let (mut walks, mut boxed) = (0u64, 0u64);
-        for s in start..n {
-            if dest[s] == s || claimed[s] == round || dead[s] == round {
+        for s in unfinished.ones_from(start) {
+            if taken[s] == round || dead[s] == round {
                 continue;
             }
             walks += 1;
@@ -386,70 +462,79 @@ pub fn parallel_token_swapping_with(
             path_pos[s] = 0;
             path.push(s);
             let mut cur = s;
-            let chain: Option<Vec<(usize, usize)>> = loop {
+            let found = loop {
                 let target = dest[cur];
                 let dcur = oracle.dist(cur, target);
                 let next = graph
                     .neighbors(cur)
-                    .find(|&w| claimed[w] != round && oracle.dist(w, target) < dcur);
+                    .find(|&w| taken[w] != round && oracle.dist(w, target) < dcur);
                 // Boxed in by claims, or onto a trajectory that is.
                 let Some(next) = next.filter(|&w| dead[w] != round) else {
-                    break None;
+                    break false;
                 };
                 if dest[next] == next {
-                    break Some(vec![(cur, next)]); // unhappy swap
+                    chain_swaps.push((cur, next)); // unhappy swap
+                    break true;
                 }
                 if visited_epoch[next] == epoch {
-                    let pos = path_pos[next];
-                    let cycle = &path[pos..];
-                    break Some(
-                        (1..cycle.len())
-                            .rev()
-                            .map(|k| (cycle[k - 1], cycle[k]))
-                            .collect(),
-                    );
+                    let cycle = &path[path_pos[next]..];
+                    chain_swaps.extend((1..cycle.len()).rev().map(|k| (cycle[k - 1], cycle[k])));
+                    break true;
                 }
                 visited_epoch[next] = epoch;
                 path_pos[next] = path.len();
                 path.push(next);
                 cur = next;
             };
-            match chain {
-                Some(swaps) => {
-                    for &(a, b) in &swaps {
-                        claimed[a] = round;
-                        claimed[b] = round;
+            if found {
+                let begin = chain_bounds[chain_bounds.len() - 1];
+                for &(a, b) in &chain_swaps[begin..] {
+                    for w in [a, b] {
+                        if taken[w] != round {
+                            taken[w] = round;
+                            dirty.push(w);
+                        }
                     }
-                    chains.push(swaps);
                 }
-                None => {
-                    boxed += 1;
-                    for &v in &path {
-                        dead[v] = round;
-                    }
+                chain_bounds.push(chain_swaps.len());
+            } else {
+                boxed += 1;
+                for &v in &path {
+                    dead[v] = round;
                 }
             }
         }
         // The first walk runs over a claim-free graph and always finds a
-        // cycle or a home token, so every stuck phase makes progress.
-        debug_assert!(!chains.is_empty());
-        let maxlen = chains.iter().map(Vec::len).max().unwrap_or(0);
+        // cycle or a home token, so every stuck phase makes progress; a
+        // phase without a chain would spin this loop forever.
+        let chains = chain_bounds.len() - 1;
+        assert!(
+            chains > 0,
+            "ATS stuck phase found no swap chain: the oracle must answer \
+             shortest-path distances of the graph"
+        );
+        let maxlen = chain_bounds
+            .windows(2)
+            .map(|c| c[1] - c[0])
+            .max()
+            .unwrap_or(0);
         qroute_obs::trace::event(
             "ats.round",
             &[
                 ("round", qroute_obs::FieldValue::U64(round)),
                 ("kind", qroute_obs::FieldValue::Str("stuck")),
-                ("chains", qroute_obs::FieldValue::U64(chains.len() as u64)),
+                ("chains", qroute_obs::FieldValue::U64(chains as u64)),
                 ("max_chain", qroute_obs::FieldValue::U64(maxlen as u64)),
                 ("walks", qroute_obs::FieldValue::U64(walks)),
                 ("boxed", qroute_obs::FieldValue::U64(boxed)),
+                ("rescored", qroute_obs::FieldValue::U64(rescored)),
             ],
         );
         for j in 0..maxlen {
             let mut layer = SwapLayer::default();
-            for ch in &chains {
-                if let Some(&s) = ch.get(j) {
-                    layer.swaps.push(s);
+            for c in chain_bounds.windows(2) {
+                if c[0] + j < c[1] {
+                    layer.swaps.push(chain_swaps[c[0] + j]);
                 }
             }
             for &(a, b) in &layer.swaps {
@@ -457,9 +542,52 @@ pub fn parallel_token_swapping_with(
             }
             schedule.push_layer(layer);
         }
+        chain_swaps.clear();
+        chain_bounds.truncate(1);
     }
 
     schedule.compact(n)
+}
+
+/// Fixed-size bitset over `0..len`, scanned a word at a time.
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(len: usize) -> BitSet {
+        BitSet(vec![0; len.div_ceil(64)])
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        if on {
+            self.0[i / 64] |= bit;
+        } else {
+            self.0[i / 64] &= !bit;
+        }
+    }
+
+    /// The set bits at or above `from`, ascending.
+    fn ones_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let skip = from / 64;
+        self.0
+            .iter()
+            .enumerate()
+            .skip(skip)
+            .flat_map(move |(k, &word)| {
+                let mut word = if k == skip {
+                    word & (!0u64 << (from % 64))
+                } else {
+                    word
+                };
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        64 * k + bit
+                    })
+                })
+            })
+    }
 }
 
 /// ATS on a grid, in the parallel, depth-measured form the paper's
@@ -706,11 +834,12 @@ mod tests {
         }
     }
 
-    /// The parallel ATS before the stuck phase's dead-vertex rule,
-    /// verbatim except for its trace events and cancellation probe: every
-    /// stuck walk runs to its end, and `claimed` is a fresh `Vec<bool>`
-    /// per phase. The current implementation must reproduce its
-    /// schedules *exactly* — only the work may differ.
+    /// The parallel ATS before the stuck phase's dead-vertex rule and the
+    /// incremental happy-edge set, verbatim except for its trace events
+    /// and cancellation probe: every round re-scores every edge and scans
+    /// every vertex, every stuck walk runs to its end, and `claimed` is a
+    /// fresh `Vec<bool>` per phase. The current implementation must
+    /// reproduce its schedules *exactly* — only the work may differ.
     fn reference_parallel_ats(
         graph: &Graph,
         oracle: &impl DistanceOracle,
@@ -826,77 +955,228 @@ mod tests {
         schedule.compact(n)
     }
 
+    /// Assert that `parallel_token_swapping_with` and
+    /// `reference_parallel_ats` emit the same schedule for `pi`.
+    fn pin(what: &str, graph: &Graph, oracle: &impl DistanceOracle, pi: &Permutation) {
+        assert_eq!(
+            parallel_token_swapping_with(graph, oracle, pi),
+            reference_parallel_ats(graph, oracle, pi),
+            "{what}"
+        );
+    }
+
+    /// [`pin`] a random π on a grid for each seed.
+    fn pin_grid(rows: usize, cols: usize, seeds: std::ops::Range<u64>) {
+        let grid = Grid::new(rows, cols);
+        let (graph, oracle) = (grid.to_graph(), GridOracle::new(grid));
+        for seed in seeds {
+            let pi = generators::random(grid.len(), seed);
+            pin(
+                &format!("{rows}x{cols} grid seed {seed}"),
+                &graph,
+                &oracle,
+                &pi,
+            );
+        }
+    }
+
+    /// [`pin`] what `RouterKind::Ats` hands token swapping on `topology`:
+    /// an alive-vertex random π on the compacted routing frame, with the
+    /// topology's own oracle over the frame graph. The frame numbers the
+    /// alive vertices in ascending id, so a random π over frame ids is an
+    /// alive-vertex random π relabelled to the frame.
+    fn pin_topology(topology: &Topology, seeds: std::ops::Range<u64>) {
+        let graph = topology.routing_frame().graph;
+        let oracle = topology.oracle(&graph);
+        for seed in seeds {
+            let pi = generators::random(graph.len(), seed);
+            pin(&format!("{topology} seed {seed}"), &graph, &oracle, &pi);
+        }
+    }
+
+    /// A defective square grid with a scattered interior defect pattern
+    /// plus one dead edge; the alive part stays connected.
+    fn defective_grid(side: usize) -> Topology {
+        let dead: Vec<usize> = (0..side * side)
+            .filter(|&v| (v / side) % 5 == 2 && (v % side) % 5 == 2)
+            .collect();
+        Topology::grid_with_defects(Grid::new(side, side), &dead, &[(0, 1)]).unwrap()
+    }
+
     #[test]
     fn parallel_ats_matches_reference() {
-        fn pin(what: &str, graph: &Graph, oracle: &impl DistanceOracle) {
-            for seed in 0..3 {
-                let pi = generators::random(graph.len(), seed);
-                assert_eq!(
-                    parallel_token_swapping_with(graph, oracle, &pi),
-                    reference_parallel_ats(graph, oracle, &pi),
-                    "{what} seed {seed}"
+        for (m, n) in [(1, 9), (3, 7), (8, 8), (16, 16)] {
+            pin_grid(m, n, 0..3);
+        }
+        let grid = Grid::new(16, 16);
+        let (graph, oracle) = (grid.to_graph(), GridOracle::new(grid));
+        for seed in 0..3 {
+            for (class, pi) in [
+                ("block4", generators::block_local(grid, 4, 4, seed)),
+                (
+                    "overlap4s2",
+                    generators::overlapping_blocks(grid, 4, 4, 2, 2, seed),
+                ),
+                ("sparse-pairs", generators::sparse_pairs(grid, 16, 4, seed)),
+            ] {
+                pin(
+                    &format!("16x16 grid {class} seed {seed}"),
+                    &graph,
+                    &oracle,
+                    &pi,
                 );
             }
-        }
-        for (m, n) in [(1, 9), (3, 7), (8, 8), (16, 16)] {
-            let grid = Grid::new(m, n);
-            pin(
-                &format!("{m}x{n} grid"),
-                &grid.to_graph(),
-                &GridOracle::new(grid),
-            );
         }
         for (what, g) in [
             ("heavy-hex", gridlike::heavy_hex(4, 8)),
             ("brick-wall", gridlike::brick_wall(8, 8)),
         ] {
-            pin(what, &g, &LazyBfsOracle::new(&g));
+            let oracle = LazyBfsOracle::new(&g);
+            for seed in 0..3 {
+                let pi = generators::random(g.len(), seed);
+                pin(&format!("{what} seed {seed}"), &g, &oracle, &pi);
+            }
         }
         let torus = Topology::torus(9, 12).unwrap().graph();
         let product = ProductOracle::new(
             CycleOracle::new(Cycle::new(9)),
             CycleOracle::new(Cycle::new(12)),
         );
-        pin("torus", &torus, &product);
-        let defective =
-            Topology::grid_with_defects(Grid::new(12, 12), &[13, 30, 77, 100], &[(50, 51)])
-                .unwrap();
-        let frame = defective.routing_frame().graph;
-        pin("defective frame", &frame, &LazyBfsOracle::new(&frame));
+        for seed in 0..3 {
+            let pi = generators::random(torus.len(), seed);
+            pin(&format!("torus seed {seed}"), &torus, &product, &pi);
+        }
+        pin_topology(
+            &Topology::grid_with_defects(Grid::new(12, 12), &[13, 30, 77, 100], &[(50, 51)])
+                .unwrap(),
+            0..3,
+        );
+        pin_topology(&defective_grid(14), 0..3);
     }
 
-    /// Collects `[chains, walks, boxed]` from stuck `ats.round` events.
-    #[derive(Default)]
-    struct StuckRounds(std::sync::Mutex<Vec<[u64; 3]>>);
+    /// The wide pin, run in release builds by CI: larger grids and every
+    /// token-swapping topology family at sides 16–24, four seeds each.
+    #[test]
+    #[ignore = "slow in debug builds; CI runs it with --release"]
+    fn parallel_ats_matches_reference_wide() {
+        for side in [24, 32] {
+            pin_grid(side, side, 0..4);
+        }
+        for side in [16, 20, 24] {
+            pin_topology(&Topology::heavy_hex(side, side), 0..4);
+            pin_topology(&Topology::brick_wall(side, side), 0..4);
+            pin_topology(&Topology::torus(side, side).unwrap(), 0..4);
+            pin_topology(&defective_grid(side), 0..4);
+        }
+    }
 
-    impl Subscriber for StuckRounds {
-        fn on_record(&self, record: &TraceRecord<'_>) {
-            let field = |name: &str| record.fields.iter().find(|(k, _)| *k == name).map(|f| f.1);
-            if record.name != "ats.round"
-                || !matches!(field("kind"), Some(FieldValue::Str("stuck")))
-            {
-                return;
-            }
-            let count = |name: &str| match field(name) {
-                Some(FieldValue::U64(x)) => x,
-                other => panic!("stuck round field {name}: {other:?}"),
-            };
+    /// Distance oracle with `dist = 1` between every distinct pair: it
+    /// breaks the shortest-path contract on any graph that is not
+    /// complete.
+    struct AllOnes(usize);
+
+    impl DistanceOracle for AllOnes {
+        fn len(&self) -> usize {
             self.0
-                .lock()
-                .unwrap()
-                .push([count("chains"), count("walks"), count("boxed")]);
+        }
+
+        fn dist(&self, u: usize, v: usize) -> u32 {
+            u32::from(u != v)
         }
     }
 
     #[test]
-    fn stuck_rounds_report_walks_and_boxed_walks() {
+    #[should_panic(expected = "the oracle must answer shortest-path distances")]
+    fn stuck_phase_without_a_chain_panics_instead_of_spinning() {
+        // Reversing a 4-vertex path: the middle pair is one happy swap,
+        // then the end tokens see no closer neighbour under this oracle.
+        let g = Path::new(4).to_graph();
+        parallel_token_swapping_with(&g, &AllOnes(4), &generators::reversal(4));
+    }
+
+    /// Wraps an oracle and counts its `dist` calls.
+    struct CountingOracle<O> {
+        inner: O,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl<O: DistanceOracle> DistanceOracle for CountingOracle<O> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn dist(&self, u: usize, v: usize) -> u32 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.dist(u, v)
+        }
+    }
+
+    #[test]
+    fn happy_rounds_rescore_only_touched_edges() {
+        // Re-scoring every edge each round made 324,329 `dist` calls on
+        // this instance; re-scoring only the edges a round touched makes
+        // about 78k.
+        let grid = Grid::new(16, 16);
+        let oracle =
+            CountingOracle { inner: GridOracle::new(grid), calls: std::cell::Cell::new(0) };
+        let pi = generators::random(grid.len(), 0);
+        let schedule = parallel_token_swapping_with(&grid.to_graph(), &oracle, &pi);
+        assert!(schedule.realizes(&pi));
+        let calls = oracle.calls.get();
+        assert!(calls <= 100_000, "{calls} dist calls");
+    }
+
+    /// One `ats.round` event: its `rescored` field, and
+    /// `[chains, walks, boxed]` for stuck rounds.
+    #[derive(Clone, Debug)]
+    struct Round {
+        rescored: u64,
+        stuck: Option<[u64; 3]>,
+    }
+
+    /// Collects the `ats.round` events of a route.
+    #[derive(Default)]
+    struct AtsRounds(std::sync::Mutex<Vec<Round>>);
+
+    impl Subscriber for AtsRounds {
+        fn on_record(&self, record: &TraceRecord<'_>) {
+            if record.name != "ats.round" {
+                return;
+            }
+            let field = |name: &str| record.fields.iter().find(|(k, _)| *k == name).map(|f| f.1);
+            let count = |name: &str| match field(name) {
+                Some(FieldValue::U64(x)) => x,
+                other => panic!("ats.round field {name}: {other:?}"),
+            };
+            let stuck = match field("kind") {
+                Some(FieldValue::Str("stuck")) => {
+                    Some([count("chains"), count("walks"), count("boxed")])
+                }
+                Some(FieldValue::Str("happy")) => None,
+                other => panic!("ats.round kind: {other:?}"),
+            };
+            self.0
+                .lock()
+                .unwrap()
+                .push(Round { rescored: count("rescored"), stuck });
+        }
+    }
+
+    /// The `ats.round` events of routing a random 8×8 instance.
+    fn rounds_8x8() -> Vec<Round> {
         let grid = Grid::new(8, 8);
         let pi = generators::random(grid.len(), 0);
-        let rounds = Arc::new(StuckRounds::default());
+        let rounds = Arc::new(AtsRounds::default());
         with_subscriber(Arc::clone(&rounds) as Arc<dyn Subscriber>, || {
             parallel_token_swapping_with(&grid.to_graph(), &GridOracle::new(grid), &pi)
         });
         let rounds = rounds.0.lock().unwrap().clone();
+        rounds
+    }
+
+    #[test]
+    fn stuck_rounds_report_walks_and_boxed_walks() {
+        let rounds: Vec<[u64; 3]> = rounds_8x8().iter().filter_map(|r| r.stuck).collect();
         assert!(!rounds.is_empty(), "a random 8x8 instance gets stuck");
         // Every walk started ends in a chain or boxed in.
         for &[chains, walks, boxed] in &rounds {
@@ -905,6 +1185,21 @@ mod tests {
         assert!(
             rounds.iter().any(|r| r[2] > 0),
             "no walk ended boxed in: {rounds:?}"
+        );
+    }
+
+    #[test]
+    fn rounds_report_rescored_edges() {
+        let rounds = rounds_8x8();
+        let edges = Grid::new(8, 8).to_graph().num_edges() as u64;
+        // Round 1 reads the initial full scan; later rounds re-score only
+        // the edges the previous round touched.
+        assert_eq!(rounds[0].rescored, edges);
+        let total: u64 = rounds.iter().map(|r| r.rescored).sum();
+        assert!(
+            total < rounds.len() as u64 * edges,
+            "{total} re-scores over {} rounds",
+            rounds.len()
         );
     }
 
