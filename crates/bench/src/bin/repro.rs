@@ -147,6 +147,12 @@ Batch flags:
     --workers N       engine worker threads (default 4; local mode only)
     --cache-capacity K  canonical-cache entries (default 1024, 0 = off;
                       local mode only)
+                      The cache is also bounded by 32 MiB of charged
+                      bytes, split evenly over its 8 shards: each entry
+                      is charged its key bytes plus 8 B per ⌈Φ/2⌉
+                      (Φ = total distance of π), a lower bound on its
+                      schedule bytes; an entry heavier than its shard's
+                      share is routed but not stored
     --time            record per-job routing time (non-deterministic;
                       local mode only)
     --trace F         write a structured trace of router internals
@@ -167,14 +173,17 @@ Batch flags:
 
 serve runs the long-lived routing daemon: a TCP server speaking the
 same JSONL wire format, one request line in, one outcome line out, any
-number of concurrent client connections. Outcome order and bytes per
-connection match an untimed `repro batch` of the same lines. Stops on a
-`repro ctl --shutdown` (graceful drain: admitted jobs finish first).
+number of concurrent client connections (TCP_NODELAY on every socket,
+so each outcome line leaves as soon as it is written). Outcome order
+and bytes per connection match an untimed `repro batch` of the same
+lines. Stops on a `repro ctl --shutdown` (graceful drain: admitted
+jobs finish first).
 Serve flags:
     --addr A          listen address, e.g. 127.0.0.1:7878 (required;
                       port 0 picks an ephemeral port)
     --workers N       routing worker threads (default 4)
     --cache-capacity K  shared canonical-cache entries (default 1024)
+                      (and 32 MiB of charged bytes, as for batch)
     --queue-depth N   routing work-queue bound (default 32)
     --client-queue N  per-connection in-flight job limit; jobs past it
                       are rejected with a backpressure error outcome

@@ -45,11 +45,17 @@ fn combine_depth_bounds(total: usize, maxd: usize, n: usize) -> usize {
 
 /// Depth lower bound on a grid: `max(max_displacement, ceil(total / 2*⌊n/2⌋))`.
 pub fn depth_lower_bound(grid: Grid, p: &Permutation) -> usize {
-    let n = p.len();
-    if n == 0 {
-        return 0;
-    }
-    combine_depth_bounds(total_displacement(grid, p), max_displacement(grid, p), n)
+    depth_lower_bound_and_total(grid, p).0
+}
+
+/// [`depth_lower_bound`] together with the total displacement `Φ`, both
+/// from one pass over the tokens.
+pub fn depth_lower_bound_and_total(grid: Grid, p: &Permutation) -> (usize, usize) {
+    assert_eq!(grid.len(), p.len());
+    let (total, maxd) = (0..p.len())
+        .map(|v| grid.dist(v, p.apply(v)))
+        .fold((0, 0), |(total, maxd), d| (total + d, maxd.max(d)));
+    (combine_depth_bounds(total, maxd, p.len()), total)
 }
 
 /// Same bounds on an arbitrary graph, using BFS distances (one scratch
@@ -81,20 +87,28 @@ pub fn depth_lower_bound_graph(graph: &Graph, p: &Permutation) -> usize {
 /// # Panics
 /// Panics when the sizes disagree or some destination is unreachable.
 pub fn depth_lower_bound_oracle(oracle: &impl DistanceOracle, p: &Permutation) -> usize {
+    depth_lower_bound_and_total_oracle(oracle, p).0
+}
+
+/// [`depth_lower_bound_oracle`] together with the total distance `Φ`,
+/// both from one pass over the tokens (one oracle query per token).
+///
+/// # Panics
+/// Panics when the sizes disagree or some destination is unreachable.
+pub fn depth_lower_bound_and_total_oracle(
+    oracle: &impl DistanceOracle,
+    p: &Permutation,
+) -> (usize, usize) {
     assert_eq!(oracle.len(), p.len());
-    let n = p.len();
-    if n == 0 {
-        return 0;
-    }
     let mut total = 0usize;
     let mut maxd = 0usize;
-    for v in 0..n {
+    for v in 0..p.len() {
         let d = oracle.dist(v, p.apply(v));
         assert_ne!(d, dist::UNREACHABLE, "destination unreachable from source");
         total += d as usize;
         maxd = maxd.max(d as usize);
     }
-    combine_depth_bounds(total, maxd, n)
+    (combine_depth_bounds(total, maxd, p.len()), total)
 }
 
 /// Total distance on an arbitrary graph (the ATS potential function `Φ`),
@@ -227,6 +241,17 @@ mod tests {
             assert_eq!(
                 total_displacement(grid, &p),
                 total_distance_oracle(&grid_oracle, &p),
+                "seed {seed}"
+            );
+            // The one-pass pairs return the same bound and Φ.
+            let pair = (
+                depth_lower_bound_graph(&g, &p),
+                total_distance_graph(&g, &p),
+            );
+            assert_eq!(depth_lower_bound_and_total(grid, &p), pair, "seed {seed}");
+            assert_eq!(
+                depth_lower_bound_and_total_oracle(&lazy, &p),
+                pair,
                 "seed {seed}"
             );
         }

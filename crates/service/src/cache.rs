@@ -37,24 +37,121 @@
 use qroute_core::{PackedSchedule, RoutingSchedule};
 use qroute_perm::Permutation;
 use qroute_topology::{Grid, GridSymmetry, Topology};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identity of a canonical routing instance: the resolved router
 /// (label *and* configuration) plus the canonical topology and
-/// permutation table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// permutation table, with a fixed 64-bit hash of all three computed
+/// once at construction ([`CanonicalForm::key`]).
+///
+/// Equality compares the hash first, so scanning a cache shard rejects
+/// almost every non-matching entry on one word compare instead of a
+/// full-length compare of the router's `Debug` string. [`Hash`] feeds
+/// the stored hash alone. The router string and the permutation table
+/// (`u32` images) are reference-counted, so the cache, a session's
+/// mirror and a queued work item share one allocation of each.
+#[derive(Debug, Clone, Eq)]
 pub struct CanonicalKey {
-    /// Resolved router discriminator. The engine uses the router's
-    /// `Debug` rendering, not just its [`qroute_core::RouterKind::label`]
-    /// — two differently-configured routers sharing a label (e.g. two
-    /// `LocalityAware` option sets) must never share cached schedules.
-    pub router: String,
-    /// The canonical topology (a bounding-box grid or defective grid for
-    /// grid-family instances; the instance's own topology otherwise).
-    pub topology: Topology,
-    /// Canonical permutation image table on the canonical topology.
-    pub perm: Vec<usize>,
+    router: Arc<str>,
+    topology: Topology,
+    perm: Arc<[u32]>,
+    hash: u64,
+}
+
+impl PartialEq for CanonicalKey {
+    fn eq(&self, other: &CanonicalKey) -> bool {
+        self.hash == other.hash
+            && self.perm == other.perm
+            && self.topology == other.topology
+            && self.router == other.router
+    }
+}
+
+impl Hash for CanonicalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl CanonicalKey {
+    fn new(router: Arc<str>, topology: Topology, perm: Arc<[u32]>) -> CanonicalKey {
+        let hash = key_hash(&router, &topology, &perm);
+        CanonicalKey { router, topology, perm, hash }
+    }
+
+    /// Bytes the key holds: its inline size plus the heap bytes of the
+    /// router string, any defect lists and the permutation table.
+    pub(crate) fn bytes(&self) -> usize {
+        let defects = match &self.topology {
+            Topology::GridWithDefects { dead_vertices, dead_edges, .. } => {
+                std::mem::size_of_val(&dead_vertices[..]) + std::mem::size_of_val(&dead_edges[..])
+            }
+            _ => 0,
+        };
+        std::mem::size_of::<CanonicalKey>()
+            + self.router.len()
+            + std::mem::size_of_val(&self.perm[..])
+            + defects
+    }
+}
+
+/// Multiplier of the word-wise key hash (2⁶⁴ over the golden ratio).
+const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Fold one word into a running key hash.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(HASH_K)
+}
+
+/// The splitmix64 finalizer: every output bit depends on every input
+/// bit, so `hash % shards` spreads keys evenly for any shard count.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The fixed hash of a key's parts, a word at a time: the router string
+/// in 8-byte words, a topology tag with its dimensions and defects, and
+/// the permutation table two entries per word. Never the std
+/// `RandomState`: shard placement decides eviction grouping, so it must
+/// be the same on every run and machine.
+fn key_hash(router: &str, topology: &Topology, perm: &[u32]) -> u64 {
+    let mut h = mix(0, router.len() as u64);
+    for chunk in router.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(word));
+    }
+    let (tag, rows, cols) = match topology {
+        Topology::Grid(grid) => (0, grid.rows(), grid.cols()),
+        Topology::GridWithDefects { grid, .. } => (1, grid.rows(), grid.cols()),
+        Topology::HeavyHex { rows, cols } => (2, *rows, *cols),
+        Topology::BrickWall { rows, cols } => (3, *rows, *cols),
+        Topology::Torus { rows, cols } => (4, *rows, *cols),
+    };
+    h = mix(h, tag);
+    h = mix(h, rows as u64);
+    h = mix(h, cols as u64);
+    if let Topology::GridWithDefects { dead_vertices, dead_edges, .. } = topology {
+        h = mix(h, dead_vertices.len() as u64);
+        for &d in dead_vertices {
+            h = mix(h, d as u64);
+        }
+        for &(u, v) in dead_edges {
+            h = mix(h, (u as u64) << 32 | v as u64);
+        }
+    }
+    let mut pairs = perm.chunks_exact(2);
+    for pair in &mut pairs {
+        h = mix(h, pair[0] as u64 | (pair[1] as u64) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h = mix(h, *last as u64);
+    }
+    finalize(h)
 }
 
 /// The canonical form of a `(topology, π)` instance: the representative
@@ -72,14 +169,19 @@ pub struct CanonicalForm {
 }
 
 impl CanonicalForm {
-    /// The cache key of this form under a resolved router discriminator
-    /// (see [`CanonicalKey::router`]).
-    pub fn key(&self, router: impl Into<String>) -> CanonicalKey {
-        CanonicalKey {
-            router: router.into(),
-            topology: self.topology.clone(),
-            perm: self.pi.as_slice().to_vec(),
-        }
+    /// The cache key of this form under a resolved router discriminator.
+    /// The engine passes the router's `Debug` rendering, not just its
+    /// [`qroute_core::RouterKind::label`]: two differently-configured
+    /// routers sharing a label (e.g. two `LocalityAware` option sets)
+    /// must never share cached schedules.
+    pub fn key(&self, router: impl Into<Arc<str>>) -> CanonicalKey {
+        let perm = self
+            .pi
+            .as_slice()
+            .iter()
+            .map(|&v| u32::try_from(v).expect("permutation fits u32 vertex ids"))
+            .collect();
+        CanonicalKey::new(router.into(), self.topology.clone(), perm)
     }
 
     /// Replay a schedule computed for the canonical representative back
@@ -362,15 +464,20 @@ fn box_live_part_is_routable(
     (0..n).all(|v| dead[v] || seen[v])
 }
 
-/// Hit/miss/evict counters of a [`ShardedLru`], aggregated over shards.
+/// Hit/miss/evict counters of a [`ShardedLru`], aggregated over shards,
+/// plus its resident charged bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups that found their key.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Entries evicted by capacity pressure.
+    /// Entries evicted by entry-count or byte-budget pressure.
     pub evictions: u64,
+    /// Charged bytes of the entries resident now (a gauge). The engine
+    /// and the daemon charge each entry its key bytes plus 8 B per
+    /// ⌈Φ/2⌉ (Φ = total distance of π), against a fixed byte budget.
+    pub cache_bytes: u64,
 }
 
 impl CacheStats {
@@ -385,32 +492,71 @@ impl CacheStats {
     }
 
     /// Counter-wise difference against an earlier snapshot (for per-batch
-    /// statistics on a long-lived cache).
+    /// statistics on a long-lived cache). `cache_bytes` is a level, not a
+    /// counter, so it keeps the current value.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             evictions: self.evictions - earlier.evictions,
+            cache_bytes: self.cache_bytes,
         }
     }
 }
 
-/// A sharded LRU map from [`CanonicalKey`] to a cloneable value.
+/// One cached value with its key and the bytes it was charged at
+/// admission.
+#[derive(Debug)]
+struct Entry<V> {
+    key: CanonicalKey,
+    value: V,
+    weight: usize,
+}
+
+/// One shard: entries in recency order (least recent first) and the sum
+/// of their weights.
+#[derive(Debug)]
+struct Shard<V> {
+    entries: Vec<Entry<V>>,
+    bytes: usize,
+}
+
+impl<V> Shard<V> {
+    /// Move `key`'s entry to the most-recent end and return its value.
+    fn touch(&mut self, key: &CanonicalKey) -> Option<&V> {
+        let pos = self.entries.iter().position(|e| e.key == *key)?;
+        let entry = self.entries.remove(pos);
+        self.entries.push(entry);
+        self.entries.last().map(|e| &e.value)
+    }
+
+    fn take(&mut self, key: &CanonicalKey) -> Option<Entry<V>> {
+        let pos = self.entries.iter().position(|e| e.key == *key)?;
+        let entry = self.entries.remove(pos);
+        self.bytes -= entry.weight;
+        Some(entry)
+    }
+}
+
+/// A sharded LRU map from [`CanonicalKey`] to a cloneable value, bounded
+/// by entries and by charged bytes.
 ///
-/// Keys are distributed over shards by a *fixed* FNV-1a hash (never the
-/// std `RandomState` — shard placement decides eviction grouping, and the
-/// engine's byte-determinism guarantee requires the same placement every
-/// run). Each shard orders its entries by recency and evicts its own
-/// least-recently-used entry when it outgrows `capacity / shards`
-/// (rounded up). Lookups touch recency; all counters are atomic, so
-/// shared references can be used concurrently — though the engine
-/// serializes cache decisions on the submit thread precisely so that
-/// hit/miss/evict sequences depend only on job order, never on worker
-/// scheduling.
+/// A key's shard is its fixed hash modulo the shard count (see
+/// [`CanonicalKey`]; never the std `RandomState` — shard placement
+/// decides eviction grouping, and the engine's byte-determinism
+/// guarantee requires the same placement every run). Each shard orders
+/// its entries by recency and evicts its least-recently-used entries
+/// while it holds more than `capacity / shards` entries (rounded up) or
+/// more than `bytes / shards` charged bytes. Lookups touch recency; all
+/// counters are atomic, so shared references can be used concurrently —
+/// though the engine serializes cache decisions on the submit thread
+/// precisely so that hit/miss/evict sequences depend only on job order,
+/// never on worker scheduling.
 #[derive(Debug)]
 pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Vec<(CanonicalKey, V)>>>,
+    shards: Vec<Mutex<Shard<V>>>,
     per_shard_capacity: usize,
+    per_shard_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -418,21 +564,33 @@ pub struct ShardedLru<V> {
 
 impl<V: Clone> ShardedLru<V> {
     /// A cache budgeted at `capacity` entries across `shards` shards
-    /// (`shards` is clamped to at least 1 and at most `capacity.max(1)`).
-    /// Each shard's budget is `capacity / shards` rounded **up**, so when
-    /// `capacity` is not a shard multiple the cache admits up to
-    /// `shards − 1` extra entries; [`ShardedLru::capacity`] reports the
-    /// exact admitted total. `capacity == 0` disables caching: every
-    /// lookup misses and inserts are dropped.
+    /// (`shards` is clamped to at least 1 and at most `capacity.max(1)`),
+    /// with no byte budget. Each shard's budget is `capacity / shards`
+    /// rounded **up**, so when `capacity` is not a shard multiple the
+    /// cache admits up to `shards − 1` extra entries;
+    /// [`ShardedLru::capacity`] reports the exact admitted total.
+    /// `capacity == 0` disables caching: every lookup misses and inserts
+    /// are dropped.
     pub fn new(capacity: usize, shards: usize) -> ShardedLru<V> {
         let shards = shards.max(1).min(capacity.max(1));
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Shard { entries: Vec::new(), bytes: 0 }))
+                .collect(),
             per_shard_capacity: capacity.div_ceil(shards),
+            per_shard_bytes: usize::MAX,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
+    }
+
+    /// Also bound the cache by `bytes` charged bytes, split evenly over
+    /// the shards (`bytes / shards` each, rounded down). `0` disables
+    /// caching for every weighted insert.
+    pub(crate) fn with_byte_budget(mut self, bytes: usize) -> ShardedLru<V> {
+        self.per_shard_bytes = bytes / self.shards.len();
+        self
     }
 
     /// Total entry budget across all shards.
@@ -441,70 +599,13 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     fn shard_index(&self, key: &CanonicalKey) -> usize {
-        // FNV-1a over the key's bytes: deterministic across runs and
-        // machines, unlike the std hasher.
-        fn eat(h: u64, x: u64) -> u64 {
-            x.to_le_bytes()
-                .iter()
-                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
-        }
-        let mut h: u64 = 0xcbf29ce484222325;
-        h = key
-            .router
-            .bytes()
-            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3));
-        // Full grids keep the historical `rows, cols` byte sequence so
-        // shard placement (and therefore eviction grouping) of pure grid
-        // workloads is unchanged; other variants prepend a `u64::MAX` tag
-        // no grid can produce (a row count that large cannot be a key).
-        match &key.topology {
-            Topology::Grid(grid) => {
-                h = eat(h, grid.rows() as u64);
-                h = eat(h, grid.cols() as u64);
-            }
-            Topology::GridWithDefects { grid, dead_vertices, dead_edges } => {
-                h = eat(h, u64::MAX);
-                h = eat(h, 1);
-                h = eat(h, grid.rows() as u64);
-                h = eat(h, grid.cols() as u64);
-                for &d in dead_vertices {
-                    h = eat(h, d as u64);
-                }
-                h = eat(h, u64::MAX);
-                for &(u, v) in dead_edges {
-                    h = eat(h, u as u64);
-                    h = eat(h, v as u64);
-                }
-            }
-            Topology::HeavyHex { rows, cols } => {
-                h = eat(h, u64::MAX);
-                h = eat(h, 2);
-                h = eat(h, *rows as u64);
-                h = eat(h, *cols as u64);
-            }
-            Topology::BrickWall { rows, cols } => {
-                h = eat(h, u64::MAX);
-                h = eat(h, 3);
-                h = eat(h, *rows as u64);
-                h = eat(h, *cols as u64);
-            }
-            Topology::Torus { rows, cols } => {
-                h = eat(h, u64::MAX);
-                h = eat(h, 4);
-                h = eat(h, *rows as u64);
-                h = eat(h, *cols as u64);
-            }
-        }
-        for &img in &key.perm {
-            h = eat(h, img as u64);
-        }
-        (h % self.shards.len() as u64) as usize
+        (key.hash % self.shards.len() as u64) as usize
     }
 
     /// Lock shard `idx`. With a trace subscriber armed, the wait for the
     /// shard mutex is measured and emitted as a `cache.shard_lock` event;
     /// disarmed, this is exactly the bare `lock()` — no clock reads.
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<(CanonicalKey, V)>> {
+    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard<V>> {
         if !qroute_obs::trace::armed() {
             return self.shards[idx].lock().expect("cache shard poisoned");
         }
@@ -523,50 +624,55 @@ impl<V: Clone> ShardedLru<V> {
         guard
     }
 
-    /// Look up `key`, touching its recency on a hit.
-    pub fn get(&self, key: &CanonicalKey) -> Option<V> {
-        let idx = self.shard_index(key);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| k == key) {
-            let entry = shard.remove(pos);
-            let value = entry.1.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            Some(value)
+    /// Count one lookup of shard `idx`.
+    fn count(&self, idx: usize, hit: bool) {
+        let (counter, name) = if hit {
+            (&self.hits, "cache.hit")
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.miss",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-            None
-        }
+            (&self.misses, "cache.miss")
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        qroute_obs::trace::event(name, &[("shard", qroute_obs::FieldValue::U64(idx as u64))]);
     }
 
-    /// Insert (or refresh) `key`, evicting the shard's least-recently-used
-    /// entry when the shard exceeds its budget.
-    pub fn insert(&self, key: CanonicalKey, value: V) {
-        if self.per_shard_capacity == 0 {
+    /// Store `entry` as shard `idx`'s most recent, then evict the least
+    /// recent entries while the shard is over either budget. Entries
+    /// heavier than the shard's byte budget (and every entry when the
+    /// entry budget is 0) are dropped instead: storing one would evict
+    /// the whole shard and itself.
+    fn store(&self, idx: usize, shard: &mut Shard<V>, entry: Entry<V>) {
+        if self.per_shard_capacity == 0 || entry.weight > self.per_shard_bytes {
             return;
         }
-        let idx = self.shard_index(&key);
-        let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| *k == key) {
-            shard.remove(pos);
-        }
-        shard.push((key, value));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
+        shard.bytes += entry.weight;
+        shard.entries.push(entry);
+        while shard.entries.len() > self.per_shard_capacity || shard.bytes > self.per_shard_bytes {
+            let evicted = shard.entries.remove(0);
+            shard.bytes -= evicted.weight;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             qroute_obs::trace::event(
                 "cache.eviction",
                 &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
             );
         }
+    }
+
+    /// Look up `key`, touching its recency on a hit.
+    pub fn get(&self, key: &CanonicalKey) -> Option<V> {
+        let idx = self.shard_index(key);
+        let value = self.lock_shard(idx).touch(key).cloned();
+        self.count(idx, value.is_some());
+        value
+    }
+
+    /// Insert (or refresh) `key`, evicting the shard's least-recently-used
+    /// entry when the shard exceeds its entry budget. Charges no bytes,
+    /// so only the entry budget bounds what `insert` stores.
+    pub fn insert(&self, key: CanonicalKey, value: V) {
+        let idx = self.shard_index(&key);
+        let mut shard = self.lock_shard(idx);
+        shard.take(&key);
+        self.store(idx, &mut shard, Entry { key, value, weight: 0 });
     }
 
     /// Atomic lookup-or-insert: returns `(value, inserted)`, holding the
@@ -574,44 +680,27 @@ impl<V: Clone> ShardedLru<V> {
     /// on the same key agree on exactly one inserter.
     ///
     /// Counter-compatible with a `get` + `insert` pair — present keys
-    /// count a hit and touch recency; absent keys count a miss, insert
-    /// `make()`, and evict the shard's LRU entry if over budget — so a
-    /// shared concurrent cache reports the same statistics shape the
-    /// engine's serialized get/insert path does. With capacity 0 the
-    /// miss is counted and `make()`'s value returned unstored.
-    pub fn get_or_insert_with(&self, key: CanonicalKey, make: impl FnOnce() -> V) -> (V, bool) {
-        if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (make(), true);
-        }
+    /// count a hit and touch recency; absent keys count a miss and store
+    /// `make()` charged `weight` bytes, evicting least-recently-used
+    /// entries while the shard is over its entry or byte budget. An entry
+    /// heavier than the shard's byte budget (or any entry, at capacity
+    /// 0) is not stored: the miss is counted and `make()`'s value
+    /// returned unstored, so `inserted` stays true on every later lookup.
+    pub fn get_or_insert_with(
+        &self,
+        key: CanonicalKey,
+        weight: usize,
+        make: impl FnOnce() -> V,
+    ) -> (V, bool) {
         let idx = self.shard_index(&key);
         let mut shard = self.lock_shard(idx);
-        if let Some(pos) = shard.iter().position(|(k, _)| *k == key) {
-            let entry = shard.remove(pos);
-            let value = entry.1.clone();
-            shard.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.hit",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
+        if let Some(value) = shard.touch(&key).cloned() {
+            self.count(idx, true);
             return (value, false);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        qroute_obs::trace::event(
-            "cache.miss",
-            &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-        );
+        self.count(idx, false);
         let value = make();
-        shard.push((key, value.clone()));
-        if shard.len() > self.per_shard_capacity {
-            shard.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            qroute_obs::trace::event(
-                "cache.eviction",
-                &[("shard", qroute_obs::FieldValue::U64(idx as u64))],
-            );
-        }
+        self.store(idx, &mut shard, Entry { key, value: value.clone(), weight });
         (value, true)
     }
 
@@ -621,17 +710,23 @@ impl<V: Clone> ShardedLru<V> {
     /// *error* eviction (a slot whose compute timed out or panicked must
     /// not serve later duplicates), which is inherently fault-driven.
     pub fn remove(&self, key: &CanonicalKey) -> Option<V> {
-        let mut shard = self.lock_shard(self.shard_index(key));
-        let pos = shard.iter().position(|(k, _)| k == key)?;
-        Some(shard.remove(pos).1)
+        let entry = self.lock_shard(self.shard_index(key)).take(key)?;
+        Some(entry.value)
     }
 
-    /// Aggregate counters since construction.
+    /// Aggregate counters since construction, and the charged bytes
+    /// resident now.
     pub fn stats(&self) -> CacheStats {
+        let cache_bytes = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("cache shard poisoned").bytes as u64)
+            .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            cache_bytes,
         }
     }
 }
@@ -655,11 +750,11 @@ mod tests {
 
     fn key(tag: usize) -> CanonicalKey {
         // Distinct degenerate keys for LRU plumbing tests.
-        CanonicalKey {
-            router: "ats".to_string(),
-            topology: Topology::grid(1, tag + 1),
-            perm: vec![0; tag + 1],
-        }
+        CanonicalKey::new(
+            "ats".into(),
+            Topology::grid(1, tag + 1),
+            vec![0; tag + 1].into(),
+        )
     }
 
     #[test]
@@ -700,19 +795,19 @@ mod tests {
         assert_eq!(lru.get(&key(0)), None);
         assert_eq!(lru.stats().misses, 1);
         assert_eq!(lru.stats().hits, 0);
-        assert_eq!(lru.get_or_insert_with(key(0), || 2), (2, true));
+        assert_eq!(lru.get_or_insert_with(key(0), 0, || 2), (2, true));
         assert_eq!(lru.get(&key(0)), None, "nothing is ever stored");
     }
 
     #[test]
     fn get_or_insert_matches_get_plus_insert_counters() {
         let lru: ShardedLru<usize> = ShardedLru::new(2, 1);
-        assert_eq!(lru.get_or_insert_with(key(0), || 10), (10, true));
-        assert_eq!(lru.get_or_insert_with(key(0), || 99), (10, false));
-        assert_eq!(lru.get_or_insert_with(key(1), || 11), (11, true));
+        assert_eq!(lru.get_or_insert_with(key(0), 0, || 10), (10, true));
+        assert_eq!(lru.get_or_insert_with(key(0), 0, || 99), (10, false));
+        assert_eq!(lru.get_or_insert_with(key(1), 0, || 11), (11, true));
         // key(0) was touched by its hit, so key(1) is... no: the hit on
         // key(0) predates key(1)'s insert, making key(0) the LRU entry.
-        assert_eq!(lru.get_or_insert_with(key(2), || 12), (12, true));
+        assert_eq!(lru.get_or_insert_with(key(2), 0, || 12), (12, true));
         let stats = lru.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
         assert_eq!(lru.get(&key(0)), None, "LRU entry evicted");
@@ -739,7 +834,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..OPS {
                         let tag = (i + t) % DISTINCT;
-                        let (value, _) = lru.get_or_insert_with(key(tag), || tag * 7);
+                        let (value, _) = lru.get_or_insert_with(key(tag), 0, || tag * 7);
                         assert_eq!(value, tag * 7, "racing inserters must agree");
                     }
                 })
@@ -752,6 +847,118 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, (THREADS * OPS) as u64);
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.misses, DISTINCT as u64, "one inserter per key");
+    }
+
+    #[test]
+    fn byte_budget_evicts_until_under_and_skips_oversize_entries() {
+        let lru: ShardedLru<usize> = ShardedLru::new(16, 1).with_byte_budget(1000);
+        assert_eq!(lru.get_or_insert_with(key(0), 400, || 0), (0, true));
+        assert_eq!(lru.get_or_insert_with(key(1), 400, || 1), (1, true));
+        assert_eq!(lru.get_or_insert_with(key(2), 150, || 2), (2, true));
+        assert_eq!((lru.stats().evictions, lru.stats().cache_bytes), (0, 950));
+        // 950 + 500 is over budget: the least recent entries go until the
+        // shard is back under it.
+        assert_eq!(lru.get_or_insert_with(key(3), 500, || 3), (3, true));
+        assert_eq!((lru.stats().evictions, lru.stats().cache_bytes), (2, 650));
+        assert_eq!(lru.get(&key(0)), None);
+        assert_eq!(lru.get(&key(1)), None);
+        assert_eq!(lru.get(&key(2)), Some(2));
+        assert_eq!(lru.get(&key(3)), Some(3));
+
+        // An entry heavier than the shard's budget is returned but never
+        // stored: every lookup of it is a miss, and nothing is evicted.
+        let before = lru.stats();
+        assert_eq!(lru.get_or_insert_with(key(4), 1001, || 4), (4, true));
+        assert_eq!(lru.get_or_insert_with(key(4), 1001, || 5), (5, true));
+        let after = lru.stats();
+        assert_eq!(after.misses, before.misses + 2);
+        assert_eq!((after.evictions, after.cache_bytes), (2, 650));
+
+        // The budget splits evenly: with two shards of 500 B, a 600 B
+        // entry fits the total but not its shard.
+        let split: ShardedLru<usize> = ShardedLru::new(16, 2).with_byte_budget(1000);
+        assert_eq!(split.get_or_insert_with(key(0), 600, || 0), (0, true));
+        assert_eq!(split.get(&key(0)), None);
+
+        // A zero budget disables weighted caching, as capacity 0 does.
+        let off: ShardedLru<usize> = ShardedLru::new(16, 8).with_byte_budget(0);
+        assert_eq!(off.get_or_insert_with(key(0), 1, || 0), (0, true));
+        assert_eq!(off.get_or_insert_with(key(0), 1, || 1), (1, true));
+    }
+
+    #[test]
+    fn insert_and_get_keep_entry_count_semantics_under_a_byte_budget() {
+        // `insert` charges nothing, so only the entry budget evicts.
+        let lru: ShardedLru<usize> = ShardedLru::new(2, 1).with_byte_budget(1);
+        lru.insert(key(0), 0);
+        lru.insert(key(1), 1);
+        assert_eq!(lru.get(&key(0)), Some(0));
+        lru.insert(key(2), 2);
+        assert_eq!(lru.get(&key(1)), None);
+        assert_eq!(lru.get(&key(0)), Some(0));
+        assert_eq!(lru.get(&key(2)), Some(2));
+        let stats = lru.stats();
+        assert_eq!((stats.evictions, stats.cache_bytes), (1, 0));
+    }
+
+    /// A seeded splitmix64 stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(HASH_K);
+        finalize(*state)
+    }
+
+    #[test]
+    fn canonical_keys_spread_evenly_over_shards() {
+        // 4096 distinct canonical instances: side-16 and side-32 grids,
+        // random and 4×4-block permutations.
+        let keys: Vec<CanonicalKey> = (0..4096u64)
+            .map(|i| {
+                let side = if i % 2 == 0 { 16 } else { 32 };
+                let grid = Grid::new(side, side);
+                let pi = if i % 4 < 2 {
+                    generators::random(grid.len(), i)
+                } else {
+                    generators::block_local(grid, 4, 4, i)
+                };
+                canonicalize(grid, &pi).key("Ats")
+            })
+            .collect();
+        let distinct: std::collections::HashSet<&CanonicalKey> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len());
+
+        let sharded: ShardedLru<()> = ShardedLru::new(1024, 8);
+        let mut placed = [0usize; 8];
+        for key in &keys {
+            placed[sharded.shard_index(key)] += 1;
+        }
+        let mean = keys.len() / placed.len();
+        assert!(placed.iter().all(|&n| n <= 2 * mean), "{placed:?}");
+
+        // A seeded Zipf(1) stream over the keys: the sharded cache must
+        // hit about as often as one unsharded LRU of the same capacity.
+        let cumulative: Vec<f64> = (1..=keys.len())
+            .scan(0.0, |sum, rank| {
+                *sum += 1.0 / rank as f64;
+                Some(*sum)
+            })
+            .collect();
+        let total = cumulative[cumulative.len() - 1];
+        let single: ShardedLru<()> = ShardedLru::new(1024, 1);
+        let mut state = 1;
+        for _ in 0..40_000 {
+            let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = cumulative.partition_point(|&c| c < u).min(keys.len() - 1);
+            for lru in [&sharded, &single] {
+                if lru.get(&keys[rank]).is_none() {
+                    lru.insert(keys[rank].clone(), ());
+                }
+            }
+        }
+        let (ours, unsharded) = (sharded.stats().hit_rate(), single.stats().hit_rate());
+        assert!(
+            (ours - unsharded).abs() <= 0.02,
+            "8 shards hit {ours:.3}, one shard {unsharded:.3}"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::errors::ServiceError;
 use crate::job::RouteOutcome;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -31,22 +31,25 @@ const PIPELINE_WINDOW: usize = 32;
 /// A blocking JSONL connection to a routing daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
 }
 
 impl Client {
-    /// Connect to a daemon at `addr`.
+    /// Connect to a daemon at `addr`. Nagle's algorithm is turned off:
+    /// pipelined job lines leave as they are written instead of waiting
+    /// on the daemon's ACK of the previous one.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServiceError> {
         let stream = TcpStream::connect(addr).map_err(|e| ServiceError::Io(e.to_string()))?;
+        let _ = stream.set_nodelay(true);
         let reader = BufReader::new(
             stream
                 .try_clone()
                 .map_err(|e| ServiceError::Io(e.to_string()))?,
         );
-        Ok(Client { reader, writer: stream })
+        Ok(Client { reader, writer: BufWriter::new(stream) })
     }
 
-    /// Send one raw request line (job or control).
+    /// Send one raw request line (job or control), as one write.
     pub fn send_line(&mut self, line: &str) -> Result<(), ServiceError> {
         writeln!(self.writer, "{line}")
             .and_then(|_| self.writer.flush())

@@ -44,7 +44,7 @@
 use crate::engine::EngineConfig;
 use crate::errors::ServiceError;
 use crate::job::RouteJob;
-use crate::session::{Core, Pending, Session};
+use crate::session::{Core, Pending, Session, CACHE_BYTES};
 use qroute_obs::{Counter, Gauge, Log2Histogram, Registry};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -107,6 +107,10 @@ pub struct StatsSnapshot {
     /// `{"req": "retried", "n": K}` (see
     /// [`RetryingClient`](crate::RetryingClient)). Appended field.
     pub retries_observed: u64,
+    /// Charged bytes resident in the shared cache: key bytes plus 8 B
+    /// per ⌈Φ/2⌉ per entry, a lower bound on its schedule bytes.
+    /// Appended field.
+    pub cache_bytes: u64,
 }
 
 /// Cumulative daemon counters (all monotone except the `in_flight`
@@ -131,6 +135,7 @@ struct DaemonStats {
     cache_hits: Counter,
     cache_misses: Counter,
     cache_evictions: Counter,
+    cache_bytes: Gauge,
     worker_restarts: Gauge,
 }
 
@@ -168,6 +173,10 @@ impl DaemonStats {
             cache_misses: registry.counter("qroute_cache_misses_total", "Shared-cache misses"),
             cache_evictions: registry
                 .counter("qroute_cache_evictions_total", "Shared-cache evictions"),
+            cache_bytes: registry.gauge(
+                "qroute_cache_resident_bytes",
+                "Charged bytes resident in the shared cache (a lower bound on its schedule bytes)",
+            ),
             worker_restarts: registry.gauge(
                 "qroute_worker_restarts",
                 "Crashed routing workers respawned by the pool supervisor",
@@ -268,6 +277,7 @@ impl DaemonShared {
             timeouts: self.stats.timeouts.get(),
             worker_restarts: self.core.pool.restarts(),
             retries_observed: self.stats.retries.get(),
+            cache_bytes: cache.cache_bytes,
         }
     }
 
@@ -279,6 +289,7 @@ impl DaemonShared {
         self.stats.cache_hits.set(cache.hits);
         self.stats.cache_misses.set(cache.misses);
         self.stats.cache_evictions.set(cache.evictions);
+        self.stats.cache_bytes.set(cache.cache_bytes);
         self.stats.worker_restarts.set(self.core.pool.restarts());
         self.stats.registry.to_prometheus()
     }
@@ -312,13 +323,23 @@ impl Daemon {
     /// test port) and start serving. Timing capture is forced off so
     /// outcome bytes stay deterministic and batch-identical.
     pub fn bind(addr: impl ToSocketAddrs, config: EngineConfig) -> Result<Daemon, ServiceError> {
+        Daemon::bind_with_cache_bytes(addr, config, CACHE_BYTES)
+    }
+
+    /// [`Daemon::bind`] with the shared cache bounded by `cache_bytes`
+    /// charged bytes instead of [`CACHE_BYTES`].
+    pub(crate) fn bind_with_cache_bytes(
+        addr: impl ToSocketAddrs,
+        config: EngineConfig,
+        cache_bytes: usize,
+    ) -> Result<Daemon, ServiceError> {
         let config = EngineConfig { timing: false, ..config };
         let listener = TcpListener::bind(addr).map_err(|e| ServiceError::Io(e.to_string()))?;
         let addr = listener
             .local_addr()
             .map_err(|e| ServiceError::Io(e.to_string()))?;
         let shared = Arc::new(DaemonShared {
-            core: Arc::new(Core::new(config)),
+            core: Arc::new(Core::new(config, cache_bytes)),
             stats: DaemonStats::new(),
             shutdown: AtomicBool::new(false),
             addr,
@@ -376,6 +397,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // No Nagle: the writer flushes each outcome line as soon as it is
+        // ready, and with Nagle on a line written while the previous one
+        // is unacknowledged waits for the peer's (possibly delayed) ACK.
+        // A socket that refuses the option still serves, only slower.
+        let _ = stream.set_nodelay(true);
         shared.stats.connections.inc();
         if let Ok(read_half) = stream.try_clone() {
             shared
@@ -700,6 +726,96 @@ mod tests {
         let stats = stats_with_buckets(&[(1, 1), (7, 1)]);
         assert!((stats.latency_quantile_ms(1.0) - midpoint_ms(7)).abs() < 1e-12);
         assert!((stats.latency_quantile_ms(0.0) - midpoint_ms(1)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stats_and_metrics_report_the_charged_cache_bytes() {
+        let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::default()).unwrap();
+        let mut client = crate::Client::connect(daemon.local_addr()).unwrap();
+        let job = r#"{"side": 4, "router": "ats", "class": "random", "seed": 1}"#;
+        client.route_lines([job]).unwrap();
+        let charged = daemon.stats().cache_bytes;
+        assert!(charged > 0);
+        let stats = client.stats().unwrap();
+        assert!(
+            stats.ends_with(&format!(",\"cache_bytes\":{charged}}}}}")),
+            "appended last: {stats}"
+        );
+        let metrics = daemon.shared.prometheus();
+        assert!(
+            metrics.contains(&format!("\nqroute_cache_resident_bytes {charged}\n")),
+            "{metrics}"
+        );
+    }
+
+    #[test]
+    fn byte_budgeted_connections_match_the_batch_bytes() {
+        // A byte budget small enough that every stream evicts: each
+        // connection's mirror must charge and evict exactly like the
+        // in-process engine's. Each line is sent twice in a row so the
+        // stream also hits.
+        const BUDGET: usize = 8 << 10;
+        let daemon =
+            Daemon::bind_with_cache_bytes("127.0.0.1:0", EngineConfig::default(), BUDGET).unwrap();
+        let addr = daemon.local_addr();
+        let classes = ["random", "block2", "overlap4s2", "skinny"];
+        let routers = ["auto", "ats", "locality-aware", "hybrid"];
+        let handles: Vec<_> = (0..3)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let lines: Vec<String> = (0..60)
+                        .flat_map(|k| {
+                            let (side, seed) = (4 + (c + k) % 3, k / 5 % 3);
+                            let (router, class) = (routers[k % 4], classes[(c + k) % 4]);
+                            let line = format!(
+                                "{{\"side\": {side}, \"router\": {router:?}, \
+                                 \"class\": {class:?}, \"seed\": {seed}}}"
+                            );
+                            [line.clone(), line]
+                        })
+                        .collect();
+                    let mut client = crate::Client::connect(addr).unwrap();
+                    let wire = client
+                        .route_lines(lines.iter().map(String::as_str))
+                        .unwrap();
+                    let mut engine =
+                        crate::Engine::with_cache_bytes(EngineConfig::default(), BUDGET);
+                    for line in &lines {
+                        engine.submit(&RouteJob::from_json_line(line).unwrap());
+                    }
+                    let batch: Vec<String> = std::iter::from_fn(|| engine.collect_next())
+                        .map(|result| result.outcome.to_json_line())
+                        .collect();
+                    (wire, batch)
+                })
+            })
+            .collect();
+        for (c, handle) in handles.into_iter().enumerate() {
+            let (wire, batch) = handle.join().unwrap();
+            assert_eq!(
+                wire, batch,
+                "client {c}: daemon bytes diverged from the batch"
+            );
+            assert!(
+                wire.iter().any(|line| line.contains("\"cache\":\"hit\"")),
+                "client {c}"
+            );
+        }
+        let stats = daemon.stats();
+        assert!(stats.cache_evictions > 0, "{stats:?}");
+        assert!(stats.cache_bytes <= BUDGET as u64, "{stats:?}");
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let daemon = Daemon::bind("127.0.0.1:0", EngineConfig::default()).unwrap();
+        let mut client = crate::Client::connect(daemon.local_addr()).unwrap();
+        // An answered request proves the accept loop has taken the
+        // connection; `conns` holds a clone of every accepted socket.
+        client.stats().unwrap();
+        let conns = daemon.shared.conns.lock().unwrap();
+        assert_eq!(conns.len(), 1);
+        assert!(conns[0].nodelay().unwrap());
     }
 
     /// Chaos: a connection thread that panics while holding a shared

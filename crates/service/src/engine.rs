@@ -18,7 +18,7 @@ use crate::cache::{CacheStats, CanonicalKey, ShardedLru};
 use crate::chaos::{self, ChaosConfig, ChaosState, ComputeFault};
 use crate::errors::ServiceError;
 use crate::job::{RouteJob, RouteOutcome, RouterSpec};
-use crate::session::{Core, Pending, Session};
+use crate::session::{Core, Pending, Session, CACHE_BYTES};
 use qroute_core::budget::{self, BudgetExceeded, CancelToken, QuietUnwind, RouteBudget};
 use qroute_core::{GridRouter, PackedSchedule, RouterKind, RoutingSchedule};
 use qroute_perm::Permutation;
@@ -601,7 +601,14 @@ pub struct Engine {
 impl Engine {
     /// Spawn the worker pool.
     pub fn new(config: EngineConfig) -> Engine {
-        Engine { session: Session::new(Arc::new(Core::new(config))), pending: VecDeque::new() }
+        Engine::with_cache_bytes(config, CACHE_BYTES)
+    }
+
+    /// [`Engine::new`] with the canonical cache bounded by `cache_bytes`
+    /// charged bytes instead of [`CACHE_BYTES`].
+    pub(crate) fn with_cache_bytes(config: EngineConfig, cache_bytes: usize) -> Engine {
+        let core = Core::new(config, cache_bytes);
+        Engine { session: Session::new(Arc::new(core)), pending: VecDeque::new() }
     }
 
     /// Submit one job; returns its id (0-based submission index). Blocks
@@ -721,6 +728,48 @@ mod tests {
 
     fn tiny_engine(workers: usize, cache_capacity: usize) -> Engine {
         Engine::new(EngineConfig { workers, cache_capacity, ..EngineConfig::default() })
+    }
+
+    /// Outcome bytes of `jobs` through `engine`, in id order.
+    fn batch_bytes(mut engine: Engine, jobs: &[RouteJob]) -> (String, CacheStats) {
+        for job in jobs {
+            engine.submit(job);
+        }
+        let mut out = String::new();
+        while let Some(result) = engine.collect_next() {
+            out.push_str(&result.outcome.to_json_line());
+            out.push('\n');
+        }
+        (out, engine.cache_stats())
+    }
+
+    #[test]
+    fn byte_budget_eviction_stays_worker_count_invariant() {
+        // A byte budget small enough to evict while the entry budget never
+        // binds: outcome bytes and cache counters must not depend on the
+        // worker count.
+        let classes = ["random", "block2", "overlap4s2", "skinny"];
+        let routers = ["auto", "locality-aware", "ats", "hybrid", "naive-grid"];
+        let jobs: Vec<RouteJob> = (0..150)
+            .map(|k| {
+                let seed = (k / 7 % 5) as u64;
+                RouteJob::from_class(4 + k % 3, routers[k % 5], classes[k % 4], seed).unwrap()
+            })
+            .collect();
+        let budgeted = |workers| {
+            let config = EngineConfig { workers, ..EngineConfig::default() };
+            batch_bytes(Engine::with_cache_bytes(config, 16 << 10), &jobs)
+        };
+        let (one, stats_one) = budgeted(1);
+        let (eight, stats_eight) = budgeted(8);
+        assert_eq!(one, eight, "byte-budget eviction must stay deterministic");
+        assert_eq!(stats_one, stats_eight);
+        assert!(stats_one.evictions > 0, "16 KiB must evict: {stats_one:?}");
+        assert!(stats_one.cache_bytes <= 16 << 10, "{stats_one:?}");
+        assert!(
+            one.contains("\"cache\":\"hit\""),
+            "the budget still serves hits"
+        );
     }
 
     #[test]

@@ -28,15 +28,16 @@
 //! cache and in every slot.
 //!
 //! **Determinism.** A job's `cache` status is the answer of its
-//! session's private *mirror* (same capacity and sharding as the shared
-//! cache, keys only), which sees exactly that session's stream in order.
-//! So outcome bytes depend only on the session's job sequence — not on
-//! worker scheduling, the worker count, or other sessions sharing the
-//! core — and batch output and wire output agree by construction. The
-//! shared cache only dedups *compute*: a mirror miss may be served from
-//! another session's slot (routers are deterministic, so depth and size
-//! are identical either way). Hits share the slot, not the cache entry,
-//! so an eviction between insert and use never strands a job.
+//! session's private *mirror* (same entry and byte budgets, sharding and
+//! entry charges as the shared cache, keys only), which sees exactly
+//! that session's stream in order. So outcome bytes depend only on the
+//! session's job sequence — not on worker scheduling, the worker count,
+//! or other sessions sharing the core — and batch output and wire output
+//! agree by construction. The shared cache only dedups *compute*: a
+//! mirror miss may be served from another session's slot (routers are
+//! deterministic, so depth and size are identical either way). Hits
+//! share the slot, not the cache entry, so an eviction between insert
+//! and use never strands a job.
 //!
 //! **Deadlines** are measured from `start`, which the caller takes when
 //! the job arrives, before planning. A compute that times out or panics
@@ -55,36 +56,55 @@ use qroute_topology::Topology;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Byte budget of the canonical-schedule cache, split evenly over its
+/// shards. Each entry is charged at admission: the key's bytes plus
+/// 8 B × ⌈Φ/2⌉, where Φ is the total distance of the job's permutation.
+/// A swap lowers Φ by at most 2, so this is a lower bound on the packed
+/// schedule's swap bytes. An entry heavier than its shard's budget is
+/// routed but not stored.
+pub(crate) const CACHE_BYTES: usize = 32 << 20;
+
 /// What every session over one engine or daemon shares.
 pub(crate) struct Core {
     pub(crate) config: EngineConfig,
+    cache_bytes: usize,
     pub(crate) cache: Arc<ShardedLru<Arc<RouteSlot>>>,
     pub(crate) pool: WorkerPool,
 }
 
 impl Core {
-    /// Build the shared cache and spawn the worker pool.
-    pub(crate) fn new(config: EngineConfig) -> Core {
-        let cache = Arc::new(ShardedLru::new(config.cache_capacity, config.cache_shards));
-        Core { pool: WorkerPool::spawn(&config, Arc::clone(&cache)), cache, config }
+    /// Build the shared cache, bounded by `cache_bytes` charged bytes
+    /// ([`CACHE_BYTES`] outside tests), and spawn the worker pool.
+    pub(crate) fn new(config: EngineConfig, cache_bytes: usize) -> Core {
+        let cache = Arc::new(configured_cache(&config, cache_bytes));
+        Core { pool: WorkerPool::spawn(&config, Arc::clone(&cache)), cache, cache_bytes, config }
     }
+}
+
+/// A cache with `config`'s entry budget and shards and `cache_bytes` —
+/// the shared cache and every session's mirror are built alike.
+fn configured_cache<V: Clone>(config: &EngineConfig, cache_bytes: usize) -> ShardedLru<V> {
+    ShardedLru::new(config.cache_capacity, config.cache_shards).with_byte_budget(cache_bytes)
 }
 
 /// Everything decided about a resolvable job *before* the cache is
 /// consulted: the resolved router, the instance, its canonical form and
-/// cache key, and the depth lower bound.
+/// cache key, the depth lower bound, and the bytes its cache entry is
+/// charged.
 struct RoutePlan {
     router: RouterKind,
     lower_bound: usize,
     canonical: Box<CanonicalForm>,
     key: CanonicalKey,
+    weight: usize,
     topology: Topology,
     pi: Permutation,
 }
 
 /// Resolve and plan one job: materialize the instance, pick the router
 /// (job's own, else `default_router`), reject unsupported pairings
-/// before they touch any cache, bound the depth, and canonicalize.
+/// before they touch any cache, bound the depth, canonicalize, and
+/// charge the cache entry (see [`CACHE_BYTES`]).
 fn plan_route(job: &RouteJob, default_router: &RouterSpec) -> Result<RoutePlan, ServiceError> {
     let (topology, pi) = job.resolve()?;
     let router = match job.router.as_ref().unwrap_or(default_router) {
@@ -99,20 +119,24 @@ fn plan_route(job: &RouteJob, default_router: &RouterSpec) -> Result<RoutePlan, 
             topology: topology.to_string(),
         }));
     }
-    let lower_bound = match topology.as_grid() {
-        Some(grid) => metrics::depth_lower_bound(grid, &pi),
+    // One pass gives the depth bound and the total distance Φ.
+    let (lower_bound, total_distance) = match topology.as_grid() {
+        Some(grid) => metrics::depth_lower_bound_and_total(grid, &pi),
         None => {
             let graph = topology.graph();
             let oracle = topology.oracle(&graph);
-            metrics::depth_lower_bound_oracle(&oracle, &pi)
+            metrics::depth_lower_bound_and_total_oracle(&oracle, &pi)
         }
     };
-    let canonical = canonicalize_topology(&topology, &pi);
+    let canonical = Box::new(canonicalize_topology(&topology, &pi));
     // Key on the router's full Debug rendering, not its label:
     // differently-configured routers with the same label must not share
     // cached schedules.
     let key = canonical.key(format!("{router:?}"));
-    Ok(RoutePlan { router, lower_bound, canonical: Box::new(canonical), key, topology, pi })
+    // A swap lowers Φ by at most 2, so any schedule has ≥ ⌈Φ/2⌉ swaps of
+    // 8 packed bytes each.
+    let weight = key.bytes() + 8 * total_distance.div_ceil(2);
+    Ok(RoutePlan { router, lower_bound, canonical, key, weight, topology, pi })
 }
 
 /// One ordered stream of jobs over a shared [`Core`]. Each call to
@@ -125,8 +149,7 @@ pub(crate) struct Session {
 
 impl Session {
     pub(crate) fn new(core: Arc<Core>) -> Session {
-        let mirror = ShardedLru::new(core.config.cache_capacity, core.config.cache_shards);
-        Session { core, mirror, next_id: 0 }
+        Session { mirror: configured_cache(&core.config, core.cache_bytes), core, next_id: 0 }
     }
 
     fn take_id(&mut self) -> u64 {
@@ -149,16 +172,14 @@ impl Session {
             .deadline_ms
             .or(self.core.config.default_deadline_ms)
             .map(|ms| (start + Duration::from_millis(ms), ms));
-        let (_, mirror_inserted) = self.mirror.get_or_insert_with(plan.key.clone(), || ());
-        let cache = if mirror_inserted {
+        let (key, weight) = (&plan.key, plan.weight);
+        let cache = if self.mirror.get_or_insert_with(key.clone(), weight, || ()).1 {
             CacheStatus::Miss
         } else {
             CacheStatus::Hit
         };
-        let (slot, dispatched) = self
-            .core
-            .cache
-            .get_or_insert_with(plan.key.clone(), Default::default);
+        let shared = &self.core.cache;
+        let (slot, dispatched) = shared.get_or_insert_with(key.clone(), weight, Default::default);
         if dispatched {
             // Unbounded jobs keep the zero-overhead routing path: no
             // deadline means nobody ever cancels, so the budget stays
